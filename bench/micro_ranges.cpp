@@ -6,15 +6,14 @@
 // per-suboperation costs behind Figure 6 ("evaluation sub-operations take
 // essentially constant time").
 //
-// Two families:
-//  - Steady-state (BM_Range*): one RangeOps instance across iterations,
-//    as in fixpoint iteration, where repeated evaluation of an unchanged
-//    expression hits the op memo. This is the profile the propagation
-//    engine actually sees.
-//  - Uncached (BM_Range*Uncached / *Symbolic): a fresh RangeOps per
-//    iteration, so every call runs the batched SoA kernel; the Symbolic
-//    variants exercise the symbolic-bound slow path (no memo reuse is
-//    possible there either way, since symbolic slices are not interned).
+// Three families:
+//  - Numeric (BM_Range{Add,Mul,Meet,CmpProb,Assert}): one RangeOps
+//    instance across iterations, as in fixpoint iteration. RangeOps caches
+//    nothing across calls, so every iteration runs the batched SoA kernel
+//    plus canonicalize/intern: the cost of one expression evaluation.
+//  - Symbolic (BM_Range*Symbolic): bounds of the form n+k, which take the
+//    symbolic-bound slow path.
+//  - Union (BM_RangeUnionCoalesce): canonicalization alone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,51 +120,6 @@ void BM_RangeAssert(benchmark::State &State) {
         Ops.applyAssert(A, CmpPred::LT, Bound, nullptr));
 }
 BENCHMARK(BM_RangeAssert);
-
-// Uncached variants: a fresh RangeOps per iteration forces every call
-// through the batched SoA kernel plus canonicalize/intern — the cost of
-// the *first* evaluation of an expression, before the memo amortizes it.
-
-void BM_RangeAddUncached(benchmark::State &State) {
-  VRPOptions Opts;
-  Opts.MaxSubRanges = static_cast<unsigned>(State.range(0));
-  RangeStats Stats;
-  RNG Rng(42);
-  ValueRange A = makeRange(Rng, Opts.MaxSubRanges, Opts.MaxSubRanges);
-  ValueRange B = makeRange(Rng, Opts.MaxSubRanges, Opts.MaxSubRanges);
-  for (auto _ : State) {
-    RangeOps Ops(Opts, Stats);
-    benchmark::DoNotOptimize(Ops.add(A, B));
-  }
-}
-BENCHMARK(BM_RangeAddUncached)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_RangeMulUncached(benchmark::State &State) {
-  VRPOptions Opts;
-  RangeStats Stats;
-  RNG Rng(43);
-  ValueRange A = makeRange(Rng, 4, 4);
-  ValueRange B = makeRange(Rng, 4, 4);
-  for (auto _ : State) {
-    RangeOps Ops(Opts, Stats);
-    benchmark::DoNotOptimize(Ops.mul(A, B));
-  }
-}
-BENCHMARK(BM_RangeMulUncached);
-
-void BM_RangeMeetUncached(benchmark::State &State) {
-  VRPOptions Opts;
-  RangeStats Stats;
-  RNG Rng(44);
-  std::vector<std::pair<ValueRange, double>> Entries;
-  for (unsigned I = 0; I < 4; ++I)
-    Entries.push_back({makeRange(Rng, 3, 4), 0.25});
-  for (auto _ : State) {
-    RangeOps Ops(Opts, Stats);
-    benchmark::DoNotOptimize(Ops.meetWeighted(Entries));
-  }
-}
-BENCHMARK(BM_RangeMeetUncached);
 
 // Symbolic-bound coverage: bounds of the form n+k route every pair
 // through the slow path (symbol materialization, symRank ordering).

@@ -350,6 +350,13 @@ echo "fleet chaos smoke: ok"
 python3 scripts/perf_smoke.py
 echo "perf smoke: ok"
 
+# Benchmark smoke: build vrpbench against the current src/ and run every
+# workload untraced and traced on tiny inputs, so a library change that
+# breaks the benchmark harness (a renamed entry point, a dropped counter
+# it reads) fails here rather than in the benchmark pipeline.
+python3 vrpbench/run.py --smoke
+echo "vrpbench smoke: ok"
+
 # Docs lint, part 1: every relative link in README.md and docs/*.md must
 # resolve to a file in the repo. Absolute URLs and #anchors are out of
 # scope.

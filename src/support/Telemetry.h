@@ -88,7 +88,7 @@ enum class Counter : unsigned {
   PersistentCacheMisses,
   PersistentCacheEvictions,
   PersistentCacheBytesWritten,
-  // Arena/SoA range storage (vrp/RangeArena.h) and the RangeOps memo.
+  // Arena/SoA range storage (vrp/RangeArena.h) and the range kernels.
   // All are functions of the analysis work alone — interning resolves
   // first-writer races to the same id, payload bytes exclude chunk
   // padding, and the arena counts epoch-relative to the last reset() so
@@ -99,6 +99,8 @@ enum class Counter : unsigned {
   RangeArenaPayloadBytes,
   RangeKernelFastPath,
   RangeKernelSlowPath,
+  // Retired, always 0: RangeOps no longer memoizes whole operations. Kept
+  // because the benchmark harness (vrpbench/Harness.cpp) still reads it.
   RangeOpMemoHits,
   // Interprocedural SCC-wave scheduler (interproc/InterproceduralVRP.cpp).
   // Sweeps, waves and the (re-)analyzed / reused function counts are pure

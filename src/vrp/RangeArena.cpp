@@ -289,7 +289,7 @@ uint32_t RangeArena::internFP(const FPInterval *Subs, uint32_t N,
   // FP contents are pointer-free, so everything interns. The NaN mass is
   // part of the content: two slices with identical rows but different
   // NaN mass get different ids, keeping slice id -> lattice value
-  // injective (RangeOps' memo keys depend on this).
+  // injective (id equality in ValueRange::equals depends on this).
   uint64_t Hash = 14695981039346656037ull ^ (uint64_t(N) << 32);
   Hash = fnv1a(Hash, probBits(NaNMass));
   for (uint32_t I = 0; I < N; ++I) {

@@ -139,7 +139,7 @@ public:
   /// All FP contents are pointer-free, so every FP slice interns
   /// module-wide; \p NaNMass participates in the content hash and the
   /// dedup compare (by bit pattern), making slice id -> NaN mass
-  /// injective — which RangeOps' memo keys rely on. N == 0 with zero NaN
+  /// injective — which id equality relies on. N == 0 with zero NaN
   /// mass returns the empty slice 0; N == 0 with positive NaN mass is the
   /// pure-NaN range and interns a rowless slice.
   uint32_t internFP(const FPInterval *Subs, uint32_t N, double NaNMass);

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 using namespace vrp;
 
@@ -327,30 +326,15 @@ bool RangeOps::pairMax(const SubRange &A, const SubRange &B,
 }
 
 //===----------------------------------------------------------------------===//
-// Memoization over interned operand ids
+// Binary operation framework
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Operation tags for memo keys. Assert/cmp fold the predicate into the
-/// tag's upper bits.
+/// Floating-point kernel tags: select the scalar fold (foldFloatScalar,
+/// fpPairArith) and the unary kernel (fpUnary).
 enum : uint8_t {
-  TagAdd = 1,
-  TagSub,
-  TagMul,
-  TagDiv,
-  TagRem,
-  TagMin,
-  TagMax,
-  TagNeg,
-  TagAbs,
-  TagNot,
-  TagAssert,
-  TagCmp,
-  // Floating-point kernels. FP operand handles encode Kind::FloatRanges,
-  // so FP and integer keys could share tags without colliding; distinct
-  // tags keep the dispatch honest and the memo debuggable.
-  TagFAdd,
+  TagFAdd = 1,
   TagFSub,
   TagFMul,
   TagFDiv,
@@ -358,89 +342,12 @@ enum : uint8_t {
   TagFMax,
   TagFNeg,
   TagFAbs,
-  TagI2F,
-  TagF2I,
-  TagFAssert,
-  TagFCmp,
 };
-
-uint64_t predTag(uint8_t Tag, CmpPred Pred) {
-  return static_cast<uint64_t>(Tag) |
-         (static_cast<uint64_t>(Pred) << 8);
-}
 
 } // namespace
 
-size_t RangeOps::MemoKeyHash::operator()(const MemoKey &K) const {
-  uint64_t H = K.Tag * 0x9e3779b97f4a7c15ull;
-  auto Mix = [&H](uint64_t W) {
-    H ^= W + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-  };
-  Mix(K.L);
-  Mix(K.R);
-  Mix(static_cast<uint64_t>(reinterpret_cast<uintptr_t>(K.P1)));
-  Mix(static_cast<uint64_t>(reinterpret_cast<uintptr_t>(K.P2)));
-  return static_cast<size_t>(H);
-}
-
-size_t
-RangeOps::MeetKeyHash::operator()(const std::vector<uint64_t> &K) const {
-  uint64_t H = 14695981039346656037ull;
-  for (uint64_t W : K) {
-    H ^= W;
-    H *= 1099511628211ull;
-  }
-  return static_cast<size_t>(H);
-}
-
-uint64_t RangeOps::encodeHandle(const ValueRange &V) {
-  return (static_cast<uint64_t>(V.sliceId()) << 8) |
-         (static_cast<uint64_t>(V.kind()) << 1) |
-         (V.distributionKnown() ? 1u : 0u);
-}
-
-/// Current value of the RangeNormalizations slot in this thread's shard.
-/// Memo entries store the delta across the original computation so a hit
-/// can replay it; while telemetry is disabled both the original events
-/// and the replay are no-ops, consistently.
-uint64_t RangeOps::normalizationTicks() const {
-  if (!telemetry::enabled())
-    return 0;
-  return telemetry::detail::localShard()
-      .Counters[static_cast<unsigned>(
-          telemetry::Counter::RangeNormalizations)]
-      .load(std::memory_order_relaxed);
-}
-
-ValueRange RangeOps::replay(const MemoEntry &E) {
-  Stats.SubOps += E.SubOps;
-  if (E.Norms)
-    telemetry::count(telemetry::Counter::RangeNormalizations, E.Norms);
-  telemetry::count(telemetry::Counter::RangeOpMemoHits);
-  return E.Result;
-}
-
-template <typename Fn>
-ValueRange RangeOps::memoRange(const MemoKey &K, Fn &&Compute) {
-  auto It = Memo.find(K);
-  if (It != Memo.end())
-    return replay(It->second);
-  MemoEntry E;
-  uint64_t SubOps0 = Stats.SubOps;
-  uint64_t Norms0 = normalizationTicks();
-  E.Result = Compute();
-  E.SubOps = Stats.SubOps - SubOps0;
-  E.Norms = normalizationTicks() - Norms0;
-  Memo.emplace(K, E);
-  return E.Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Binary operation framework
-//===----------------------------------------------------------------------===//
-
 ValueRange RangeOps::binaryNumeric(
-    uint8_t Tag, const ValueRange &L, const ValueRange &R,
+    const ValueRange &L, const ValueRange &R,
     bool (RangeOps::*PairOp)(const SubRange &, const SubRange &,
                              std::vector<SubRange> &)) {
   if (L.isBottom() || R.isBottom())
@@ -449,14 +356,6 @@ ValueRange RangeOps::binaryNumeric(
     return ValueRange::top();
   if (!L.isRanges() || !R.isRanges())
     return ValueRange::bottom();
-  MemoKey K{Tag, encodeHandle(L), encodeHandle(R), nullptr, nullptr};
-  return memoRange(K, [&] { return binaryNumericUncached(L, R, PairOp); });
-}
-
-ValueRange RangeOps::binaryNumericUncached(
-    const ValueRange &L, const ValueRange &R,
-    bool (RangeOps::*PairOp)(const SubRange &, const SubRange &,
-                             std::vector<SubRange> &)) {
   const RangeArena &Arena = RangeArena::global();
   RangeArena::Rows LRows = Arena.rows(L.sliceId());
   RangeArena::Rows RRows = Arena.rows(R.sliceId());
@@ -531,25 +430,25 @@ double foldFloatScalar(uint8_t Tag, double A, double B) {
 ValueRange RangeOps::add(const ValueRange &L, const ValueRange &R) {
   if (L.isFloatKind() || R.isFloatKind())
     return fpBinary(TagFAdd, L, R);
-  return binaryNumeric(TagAdd, L, R, &RangeOps::pairAdd);
+  return binaryNumeric(L, R, &RangeOps::pairAdd);
 }
 
 ValueRange RangeOps::sub(const ValueRange &L, const ValueRange &R) {
   if (L.isFloatKind() || R.isFloatKind())
     return fpBinary(TagFSub, L, R);
-  return binaryNumeric(TagSub, L, R, &RangeOps::pairSub);
+  return binaryNumeric(L, R, &RangeOps::pairSub);
 }
 
 ValueRange RangeOps::mul(const ValueRange &L, const ValueRange &R) {
   if (L.isFloatKind() || R.isFloatKind())
     return fpBinary(TagFMul, L, R);
-  return binaryNumeric(TagMul, L, R, &RangeOps::pairMul);
+  return binaryNumeric(L, R, &RangeOps::pairMul);
 }
 
 ValueRange RangeOps::div(const ValueRange &L, const ValueRange &R) {
   if (L.isFloatKind() || R.isFloatKind())
     return fpBinary(TagFDiv, L, R);
-  return binaryNumeric(TagDiv, L, R, &RangeOps::pairDiv);
+  return binaryNumeric(L, R, &RangeOps::pairDiv);
 }
 
 ValueRange RangeOps::rem(const ValueRange &L, const ValueRange &R) {
@@ -567,19 +466,19 @@ ValueRange RangeOps::rem(const ValueRange &L, const ValueRange &R) {
       }
     }
   }
-  return binaryNumeric(TagRem, L, R, &RangeOps::pairRem);
+  return binaryNumeric(L, R, &RangeOps::pairRem);
 }
 
 ValueRange RangeOps::minOp(const ValueRange &L, const ValueRange &R) {
   if (L.isFloatKind() || R.isFloatKind())
     return fpBinary(TagFMin, L, R);
-  return binaryNumeric(TagMin, L, R, &RangeOps::pairMin);
+  return binaryNumeric(L, R, &RangeOps::pairMin);
 }
 
 ValueRange RangeOps::maxOp(const ValueRange &L, const ValueRange &R) {
   if (L.isFloatKind() || R.isFloatKind())
     return fpBinary(TagFMax, L, R);
-  return binaryNumeric(TagMax, L, R, &RangeOps::pairMax);
+  return binaryNumeric(L, R, &RangeOps::pairMax);
 }
 
 ValueRange RangeOps::neg(const ValueRange &V) {
@@ -589,20 +488,17 @@ ValueRange RangeOps::neg(const ValueRange &V) {
     return ValueRange::floatConstant(-V.floatValue());
   if (V.isFloatRanges())
     return fpUnary(TagFNeg, V);
-  MemoKey K{TagNeg, encodeHandle(V), 0, nullptr, nullptr};
-  return memoRange(K, [&] {
-    Scratch.clear();
-    for (const SubRange &S : V.subRanges()) {
-      ++Stats.SubOps;
-      if (!S.isNumeric())
-        return ValueRange::bottom(); // -(x+c) is not representable.
-      Scratch.push_back(makePiece(S.Prob, saturatingNeg(S.Hi.Offset),
-                                  saturatingNeg(S.Lo.Offset), S.Stride));
-    }
-    ValueRange Result = ValueRange::canonicalize(Scratch, Opts.MaxSubRanges);
-    Result.setDistributionKnown(V.distributionKnown());
-    return Result;
-  });
+  Scratch.clear();
+  for (const SubRange &S : V.subRanges()) {
+    ++Stats.SubOps;
+    if (!S.isNumeric())
+      return ValueRange::bottom(); // -(x+c) is not representable.
+    Scratch.push_back(makePiece(S.Prob, saturatingNeg(S.Hi.Offset),
+                                saturatingNeg(S.Lo.Offset), S.Stride));
+  }
+  ValueRange Result = ValueRange::canonicalize(Scratch, Opts.MaxSubRanges);
+  Result.setDistributionKnown(V.distributionKnown());
+  return Result;
 }
 
 ValueRange RangeOps::absOp(const ValueRange &V) {
@@ -612,74 +508,36 @@ ValueRange RangeOps::absOp(const ValueRange &V) {
     return ValueRange::floatConstant(std::abs(V.floatValue()));
   if (V.isFloatRanges())
     return fpUnary(TagFAbs, V);
-  MemoKey K{TagAbs, encodeHandle(V), 0, nullptr, nullptr};
-  return memoRange(K, [&] {
-    Scratch.clear();
-    for (const SubRange &S : V.subRanges()) {
-      ++Stats.SubOps;
-      if (!S.isNumeric())
-        return ValueRange::bottom();
-      if (S.Lo.Offset >= 0) {
-        Scratch.push_back(S);
-      } else if (S.Hi.Offset <= 0) {
-        Scratch.push_back(makePiece(S.Prob, saturatingNeg(S.Hi.Offset),
-                                    saturatingNeg(S.Lo.Offset), S.Stride));
-      } else {
-        int64_t Hi = std::max(saturatingNeg(S.Lo.Offset), S.Hi.Offset);
-        Scratch.push_back(makePiece(S.Prob, 0, Hi, 1));
-      }
+  Scratch.clear();
+  for (const SubRange &S : V.subRanges()) {
+    ++Stats.SubOps;
+    if (!S.isNumeric())
+      return ValueRange::bottom();
+    if (S.Lo.Offset >= 0) {
+      Scratch.push_back(S);
+    } else if (S.Hi.Offset <= 0) {
+      Scratch.push_back(makePiece(S.Prob, saturatingNeg(S.Hi.Offset),
+                                  saturatingNeg(S.Lo.Offset), S.Stride));
+    } else {
+      int64_t Hi = std::max(saturatingNeg(S.Lo.Offset), S.Hi.Offset);
+      Scratch.push_back(makePiece(S.Prob, 0, Hi, 1));
     }
-    ValueRange Result = ValueRange::canonicalize(Scratch, Opts.MaxSubRanges);
-    Result.setDistributionKnown(V.distributionKnown());
-    return Result;
-  });
+  }
+  ValueRange Result = ValueRange::canonicalize(Scratch, Opts.MaxSubRanges);
+  Result.setDistributionKnown(V.distributionKnown());
+  return Result;
 }
 
 ValueRange RangeOps::notOp(const ValueRange &V) {
   if (V.isTop())
     return ValueRange::top();
-  if (!V.isRanges()) {
-    // ⊥ / float-const: probNonZero is O(1) here, no point memoizing.
-    std::optional<double> P = V.probNonZero();
-    if (!P)
-      return ValueRange::bottom();
-    return ValueRange::weightedBool(1.0 - *P);
-  }
-  MemoKey K{TagNot, encodeHandle(V), 0, nullptr, nullptr};
-  return memoRange(K, [&] {
-    std::optional<double> P = V.probNonZero();
-    if (!P)
-      return ValueRange::bottom();
-    if (!V.distributionKnown() && *P != 0.0 && *P != 1.0)
-      return ValueRange::bottom(); // Only certainty survives unknown dist.
-    return ValueRange::weightedBool(1.0 - *P);
-  });
-}
-
-ValueRange RangeOps::intToFloat(const ValueRange &V) {
-  if (V.isTop())
-    return ValueRange::top();
-  if (auto C = V.asIntConstant())
-    return ValueRange::floatConstant(static_cast<double>(*C));
-  if (!Opts.EnableFPRanges || !V.isRanges() || !V.allNumeric())
+  std::optional<double> P = V.probNonZero();
+  if (!P)
     return ValueRange::bottom();
-  MemoKey K{TagI2F, encodeHandle(V), 0, nullptr, nullptr};
-  return memoRange(K, [&] { return intToFloatUncached(V); });
-}
-
-ValueRange RangeOps::floatToInt(const ValueRange &V) {
-  if (V.isTop())
-    return ValueRange::top();
-  if (V.isFloatConst()) {
-    double D = V.floatValue();
-    if (D >= static_cast<double>(Int64Min) &&
-        D <= static_cast<double>(Int64Max))
-      return ValueRange::intConstant(static_cast<int64_t>(D));
-  }
-  if (!Opts.EnableFPRanges || !V.isFloatRanges())
+  // Only certainty survives an unknown distribution.
+  if (V.isRanges() && !V.distributionKnown() && *P != 0.0 && *P != 1.0)
     return ValueRange::bottom();
-  MemoKey K{TagF2I, encodeHandle(V), 0, nullptr, nullptr};
-  return memoRange(K, [&] { return floatToIntUncached(V); });
+  return ValueRange::weightedBool(1.0 - *P);
 }
 
 //===----------------------------------------------------------------------===//
@@ -701,8 +559,6 @@ ValueRange RangeOps::fpBinary(uint8_t Tag, const ValueRange &L,
                               const ValueRange &R) {
   if (L.isTop() || R.isTop())
     return ValueRange::top();
-  // Both-constant folds stay exact and payload-driven, so they must not
-  // enter the memo (FloatConst payloads are not part of encodeHandle).
   if (L.isFloatConst() && R.isFloatConst())
     return ValueRange::floatConstant(
         foldFloatScalar(Tag, L.floatValue(), R.floatValue()));
@@ -711,15 +567,9 @@ ValueRange RangeOps::fpBinary(uint8_t Tag, const ValueRange &L,
   ValueRange LP = fpPromote(L), RP = fpPromote(R);
   if (!LP.isFloatRanges() || !RP.isFloatRanges())
     return ValueRange::bottom(); // Mixed with the integer domain.
-  MemoKey K{Tag, encodeHandle(LP), encodeHandle(RP), nullptr, nullptr};
-  return memoRange(K, [&] { return fpBinaryUncached(Tag, LP, RP); });
-}
-
-ValueRange RangeOps::fpBinaryUncached(uint8_t Tag, const ValueRange &L,
-                                      const ValueRange &R) {
   telemetry::count(telemetry::Counter::FPRangeKernelOps);
-  FPIntervalView LV = L.fpIntervals(), RV = R.fpIntervals();
-  const double NL = L.nanMass(), NR = R.nanMass();
+  FPIntervalView LV = LP.fpIntervals(), RV = RP.fpIntervals();
+  const double NL = LP.nanMass(), NR = RP.nanMass();
   FPScratch.clear();
   if (Tag == TagFMin || Tag == TagFMax) {
     // `(b < a) ? b : a` selection semantics: a NaN left operand
@@ -746,8 +596,8 @@ ValueRange RangeOps::fpBinaryUncached(uint8_t Tag, const ValueRange &L,
   }
   ValueRange Result =
       ValueRange::canonicalizeFP(FPScratch, FPNaNAcc, Opts.MaxSubRanges);
-  Result.setDistributionKnown(L.distributionKnown() &&
-                              R.distributionKnown());
+  Result.setDistributionKnown(LP.distributionKnown() &&
+                              RP.distributionKnown());
   return Result;
 }
 
@@ -834,11 +684,6 @@ void RangeOps::fpPairArith(uint8_t Tag, const FPInterval &A,
 }
 
 ValueRange RangeOps::fpUnary(uint8_t Tag, const ValueRange &V) {
-  MemoKey K{Tag, encodeHandle(V), 0, nullptr, nullptr};
-  return memoRange(K, [&] { return fpUnaryUncached(Tag, V); });
-}
-
-ValueRange RangeOps::fpUnaryUncached(uint8_t Tag, const ValueRange &V) {
   telemetry::count(telemetry::Counter::FPRangeKernelOps);
   FPIntervalView IV = V.fpIntervals();
   FPScratch.clear();
@@ -862,7 +707,13 @@ ValueRange RangeOps::fpUnaryUncached(uint8_t Tag, const ValueRange &V) {
   return Result;
 }
 
-ValueRange RangeOps::intToFloatUncached(const ValueRange &V) {
+ValueRange RangeOps::intToFloat(const ValueRange &V) {
+  if (V.isTop())
+    return ValueRange::top();
+  if (auto C = V.asIntConstant())
+    return ValueRange::floatConstant(static_cast<double>(*C));
+  if (!Opts.EnableFPRanges || !V.isRanges() || !V.allNumeric())
+    return ValueRange::bottom();
   telemetry::count(telemetry::Counter::FPRangeKernelOps);
   FPScratch.clear();
   for (const SubRange &S : V.subRanges()) {
@@ -879,7 +730,17 @@ ValueRange RangeOps::intToFloatUncached(const ValueRange &V) {
   return Result;
 }
 
-ValueRange RangeOps::floatToIntUncached(const ValueRange &V) {
+ValueRange RangeOps::floatToInt(const ValueRange &V) {
+  if (V.isTop())
+    return ValueRange::top();
+  if (V.isFloatConst()) {
+    double D = V.floatValue();
+    if (D >= static_cast<double>(Int64Min) &&
+        D <= static_cast<double>(Int64Max))
+      return ValueRange::intConstant(static_cast<int64_t>(D));
+  }
+  if (!Opts.EnableFPRanges || !V.isFloatRanges())
+    return ValueRange::bottom();
   telemetry::count(telemetry::Counter::FPRangeKernelOps);
   FPIntervalView IV = V.fpIntervals();
   // The runtime rule (profile/Interpreter.cpp): finite values inside the
@@ -926,34 +787,6 @@ ValueRange RangeOps::floatToIntUncached(const ValueRange &V) {
 ValueRange RangeOps::meetWeighted(
     const std::vector<std::pair<ValueRange, double>> &Entries) {
   telemetry::count(telemetry::Counter::Meets);
-
-  // Memo key: the full entry sequence — encoded handle, float payload
-  // (float-const entries fold by value) and weight bits per entry.
-  MeetKeyScratch.clear();
-  for (const auto &[VR, W] : Entries) {
-    uint64_t FBits = 0, WBits = 0;
-    double F = VR.floatValue();
-    std::memcpy(&FBits, &F, sizeof(FBits));
-    std::memcpy(&WBits, &W, sizeof(WBits));
-    MeetKeyScratch.push_back(encodeHandle(VR));
-    MeetKeyScratch.push_back(FBits);
-    MeetKeyScratch.push_back(WBits);
-  }
-  auto MemoIt = MeetMemo.find(MeetKeyScratch);
-  if (MemoIt != MeetMemo.end())
-    return replay(MemoIt->second);
-  MemoEntry E;
-  uint64_t SubOps0 = Stats.SubOps;
-  uint64_t Norms0 = normalizationTicks();
-  E.Result = meetWeightedUncached(Entries);
-  E.SubOps = Stats.SubOps - SubOps0;
-  E.Norms = normalizationTicks() - Norms0;
-  MeetMemo.emplace(MeetKeyScratch, E);
-  return E.Result;
-}
-
-ValueRange RangeOps::meetWeightedUncached(
-    const std::vector<std::pair<ValueRange, double>> &Entries) {
   double TotalWeight = 0.0;
   bool SawFloat = false, SawRanges = false, SawFPRanges = false;
   double FloatVal = 0.0;
@@ -1191,30 +1024,14 @@ ValueRange RangeOps::applyAssert(const ValueRange &Src, CmpPred Pred,
                                  const Value *BoundVal) {
   // FP asserts: an FP interval source, or an FP-typed bound refining a ⊥
   // source (the ⊥ float still has a known universe: [-inf,+inf] ∪ NaN).
-  // The bound is promoted before the memo key is formed — a FloatConst
-  // payload is not part of encodeHandle but the clip depends on it.
+  // The clip reads the bound's interval hull, so a FloatConst bound is
+  // promoted to its singleton interval.
   if (Opts.EnableFPRanges &&
-      (Src.isFloatRanges() || (BoundRange.isFloatKind() && Src.isBottom()))) {
-    ValueRange B =
-        BoundRange.isFloatConst() ? fpPromote(BoundRange) : BoundRange;
-    MemoKey FK{predTag(TagFAssert, Pred), encodeHandle(Src),
-               encodeHandle(B), nullptr, nullptr};
-    return memoRange(FK,
-                     [&] { return applyFPAssertUncached(Src, Pred, B); });
-  }
+      (Src.isFloatRanges() || (BoundRange.isFloatKind() && Src.isBottom())))
+    return applyFPAssert(Src, Pred, fpPromote(BoundRange));
   if (!Src.isRanges() && !Src.isBottom())
-    return Src; // ⊤ / float-const pass through untouched (not memoized:
-                // a float-const result carries its payload verbatim).
-  MemoKey K{predTag(TagAssert, Pred), encodeHandle(Src),
-            encodeHandle(BoundRange), BoundVal, nullptr};
-  return memoRange(
-      K, [&] { return applyAssertUncached(Src, Pred, BoundRange, BoundVal); });
-}
+    return Src; // ⊤ / float-const pass through untouched.
 
-ValueRange RangeOps::applyAssertUncached(const ValueRange &Src,
-                                         CmpPred Pred,
-                                         const ValueRange &BoundRange,
-                                         const Value *BoundVal) {
   // An assert on a statically unknown value still pins down the *set* of
   // surviving values ("valuable information can often be derived from the
   // equality tests controlling branches") — but not their distribution.
@@ -1296,9 +1113,8 @@ ValueRange RangeOps::applyAssertUncached(const ValueRange &Src,
   return Result;
 }
 
-ValueRange RangeOps::applyFPAssertUncached(const ValueRange &Src,
-                                           CmpPred Pred,
-                                           const ValueRange &Bound) {
+ValueRange RangeOps::applyFPAssert(const ValueRange &Src, CmpPred Pred,
+                                   const ValueRange &Bound) {
   telemetry::count(telemetry::Counter::FPRangeKernelOps);
   // Effective source: a ⊥ float still has a known universe —
   // [-inf,+inf] ∪ NaN with an unknown distribution (the FP analogue of
@@ -1739,64 +1555,25 @@ std::optional<double> RangeOps::cmpProb(CmpPred Pred, const ValueRange &L,
                                         const ValueRange &R,
                                         const Value *LVal,
                                         const Value *RVal) {
-  // The only float-payload-sensitive cases are handled before the memo:
-  // both-const comparisons fold exactly, and a FloatConst meeting an FP
-  // interval set is promoted to its interned singleton form (whose slice
-  // id captures the payload). Everything past this point depends solely
-  // on handle kind/slice and the SSA identities, so the memo key below
-  // captures the computation exactly.
   if (L.isFloatConst() && R.isFloatConst())
     return evalPredOnDoubles(Pred, L.floatValue(), R.floatValue());
 
-  ValueRange LK = L, RK = R;
-  uint64_t Tag = predTag(TagCmp, Pred);
-  if (Opts.EnableFPRanges && (L.isFloatRanges() || R.isFloatRanges())) {
-    LK = fpPromote(L);
-    RK = fpPromote(R);
-    Tag = predTag(TagFCmp, Pred);
-  }
-  MemoKey K{Tag, encodeHandle(LK), encodeHandle(RK), LVal, RVal};
-  auto It = Memo.find(K);
-  if (It != Memo.end()) {
-    const MemoEntry &E = It->second;
-    Stats.SubOps += E.SubOps;
-    if (E.Norms)
-      telemetry::count(telemetry::Counter::RangeNormalizations, E.Norms);
-    telemetry::count(telemetry::Counter::RangeOpMemoHits);
-    if (!E.CmpHas)
+  // FP interval comparisons have their own engine. With the FP domain on,
+  // a FloatConst side is promoted to its singleton interval; an FP side
+  // meeting a non-FP side (a ⊥ float) is undecidable here.
+  if (L.isFloatRanges() || R.isFloatRanges()) {
+    ValueRange LP = Opts.EnableFPRanges ? fpPromote(L) : L;
+    ValueRange RP = Opts.EnableFPRanges ? fpPromote(R) : R;
+    if (!LP.isFloatRanges() || !RP.isFloatRanges())
       return std::nullopt;
-    return E.CmpVal;
+    return fpCmpProb(Pred, LP, RP);
   }
-  uint64_t SubOps0 = Stats.SubOps;
-  uint64_t Norms0 = normalizationTicks();
-  std::optional<double> P = cmpProbUncached(Pred, LK, RK, LVal, RVal);
-  MemoEntry E;
-  E.CmpHas = P.has_value();
-  E.CmpVal = P.value_or(0.0);
-  E.SubOps = Stats.SubOps - SubOps0;
-  E.Norms = normalizationTicks() - Norms0;
-  Memo.emplace(K, E);
-  return P;
-}
-
-std::optional<double> RangeOps::cmpProbUncached(CmpPred Pred,
-                                                const ValueRange &L,
-                                                const ValueRange &R,
-                                                const Value *LVal,
-                                                const Value *RVal) {
-  // FP interval comparisons have their own engine; an FP side meeting a
-  // non-FP side (a ⊥ float, after promotion) is undecidable here.
-  if (L.isFloatRanges() && R.isFloatRanges())
-    return fpCmpProbUncached(Pred, L, R);
-  if (L.isFloatRanges() || R.isFloatRanges())
-    return std::nullopt;
 
   // A ⊥ operand may still be decidable when the other side's bounds are
   // relative to it (e.g. the loop test i < n with i in [0:n:1] and n
   // unknown): substitute the symbolic singleton [v:v].
   ValueRange LSub = L, RSub = R;
   auto symSingleton = [](const Value *V) {
-    ValueRange VR;
     std::vector<SubRange> Subs{SubRange(1.0, Bound(V, 0), Bound(V, 0), 0)};
     return ValueRange::ranges(std::move(Subs), 1);
   };
@@ -1835,9 +1612,8 @@ std::optional<double> RangeOps::cmpProbUncached(CmpPred Pred,
   return P;
 }
 
-std::optional<double> RangeOps::fpCmpProbUncached(CmpPred Pred,
-                                                  const ValueRange &L,
-                                                  const ValueRange &R) {
+std::optional<double> RangeOps::fpCmpProb(CmpPred Pred, const ValueRange &L,
+                                          const ValueRange &R) {
   FPIntervalView LV = L.fpIntervals(), RV = R.fpIntervals();
   const double NL = L.nanMass(), NR = R.nanMass();
   // IEEE ordered comparisons are false whenever either side is NaN; NE

@@ -17,12 +17,9 @@
 /// (no symbol materialization, tuple-free canonical sort) separated from
 /// the symbolic slow path, accumulate into member scratch buffers (no
 /// per-call allocation at steady state), and the canonical result is
-/// interned. Because interned ids are content-addressed, whole operations
-/// memoize per RangeOps instance: re-evaluating the same expression over
-/// unchanged operand ids — the common case in fixpoint iteration — returns
-/// the cached handle while replaying the exact SubOps/normalization
-/// counter deltas of the original computation, so all determinism-checked
-/// statistics are bit-identical whether or not an op hits the memo.
+/// interned. Every call runs its kernel: nothing is cached across calls,
+/// so an operation's result and its SubOps/normalization counts depend
+/// only on its operands, never on what the instance evaluated before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,14 +30,12 @@
 #include "vrp/Options.h"
 #include "vrp/ValueRange.h"
 
-#include <unordered_map>
-
 namespace vrp {
 
 /// Range operators parameterized by options; counts suboperations into the
-/// shared RangeStats. One instance serves one function analysis: the
-/// scratch buffers and the operation memo amortize across that function's
-/// fixpoint iteration.
+/// shared RangeStats. One instance serves one function analysis: its
+/// scratch buffers amortize allocation across that function's fixpoint
+/// iteration.
 class RangeOps {
 public:
   RangeOps(const VRPOptions &Opts, RangeStats &Stats)
@@ -94,65 +89,9 @@ public:
                                 const Value *RVal);
 
 private:
-  /// Memo key: operation tag (op, predicate) plus the operand identities.
-  /// Ranges operands are captured exactly by their interned slice id (the
-  /// arena guarantees same id <=> bitwise-same content); Top/Bottom carry
-  /// no payload; FloatConst operands are either handled before
-  /// memoization or provably ignored by the memoized operation. SSA
-  /// pointers participate for assert/cmp, whose results depend on symbol
-  /// identity.
-  struct MemoKey {
-    uint64_t Tag = 0;
-    uint64_t L = 0, R = 0; // Encoded handles: kind | dist | slice id.
-    const void *P1 = nullptr;
-    const void *P2 = nullptr;
-    bool operator==(const MemoKey &K) const {
-      return Tag == K.Tag && L == K.L && R == K.R && P1 == K.P1 &&
-             P2 == K.P2;
-    }
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey &K) const;
-  };
-  struct MeetKeyHash {
-    size_t operator()(const std::vector<uint64_t> &K) const;
-  };
-
-  /// A memoized result plus the statistics deltas the original
-  /// computation produced; hits replay both so counter totals never
-  /// depend on whether the memo was consulted.
-  struct MemoEntry {
-    ValueRange Result;
-    double CmpVal = 0.0;
-    bool CmpHas = false;
-    uint64_t SubOps = 0;
-    uint64_t Norms = 0;
-  };
-
-  static uint64_t encodeHandle(const ValueRange &V);
-  uint64_t normalizationTicks() const;
-  ValueRange replay(const MemoEntry &E);
-
-  /// Runs \p Compute under memoization: a hit returns the cached handle
-  /// and replays the recorded counter deltas; a miss records them.
-  template <typename Fn>
-  ValueRange memoRange(const MemoKey &K, Fn &&Compute);
-
-  std::optional<double> cmpProbUncached(CmpPred Pred, const ValueRange &L,
-                                        const ValueRange &R,
-                                        const Value *LVal,
-                                        const Value *RVal);
-  ValueRange meetWeightedUncached(
-      const std::vector<std::pair<ValueRange, double>> &Entries);
-  ValueRange applyAssertUncached(const ValueRange &Src, CmpPred Pred,
-                                 const ValueRange &BoundRange,
-                                 const Value *BoundVal);
-
+  /// Runs \p PairOp over every subrange pair of \p L x \p R (the batched
+  /// SoA kernel) and canonicalizes the pieces.
   ValueRange binaryNumeric(
-      uint8_t Tag, const ValueRange &L, const ValueRange &R,
-      bool (RangeOps::*PairOp)(const SubRange &, const SubRange &,
-                               std::vector<SubRange> &));
-  ValueRange binaryNumericUncached(
       const ValueRange &L, const ValueRange &R,
       bool (RangeOps::*PairOp)(const SubRange &, const SubRange &,
                                std::vector<SubRange> &));
@@ -193,31 +132,28 @@ private:
   // Floating-point kernels (docs/DOMAINS.md)
   //===--------------------------------------------------------------------===
 
-  /// Promotes a FloatConst to its interned singleton FloatRanges form so
-  /// it can enter a memo key (FloatConst payloads are not part of
-  /// encodeHandle). FloatRanges pass through; everything else is ⊥.
+  /// Promotes a FloatConst to its interned singleton FloatRanges form, the
+  /// interval form the FP kernels read. FloatRanges pass through;
+  /// everything else is ⊥.
   ValueRange fpPromote(const ValueRange &V);
 
-  /// Dispatch for FP binary arithmetic: exact both-const fold, promotion,
-  /// memoization, then the corner kernel.
+  /// FP binary arithmetic: exact both-const fold, else promotion and the
+  /// corner kernel.
   ValueRange fpBinary(uint8_t Tag, const ValueRange &L, const ValueRange &R);
-  ValueRange fpBinaryUncached(uint8_t Tag, const ValueRange &L,
-                              const ValueRange &R);
   /// One interval pair through the corner evaluation for \p Tag;
   /// accumulates pieces into FPScratch and NaN mass into FPNaNAcc.
   void fpPairArith(uint8_t Tag, const FPInterval &A, const FPInterval &B);
 
   ValueRange fpUnary(uint8_t Tag, const ValueRange &V);
-  ValueRange fpUnaryUncached(uint8_t Tag, const ValueRange &V);
 
-  ValueRange intToFloatUncached(const ValueRange &V);
-  ValueRange floatToIntUncached(const ValueRange &V);
+  /// applyAssert for an FP interval (or ⊥ float) source; \p Bound is in
+  /// interval form (see fpPromote).
+  ValueRange applyFPAssert(const ValueRange &Src, CmpPred Pred,
+                           const ValueRange &Bound);
 
-  ValueRange applyFPAssertUncached(const ValueRange &Src, CmpPred Pred,
-                                   const ValueRange &Bound);
-
-  std::optional<double> fpCmpProbUncached(CmpPred Pred, const ValueRange &L,
-                                          const ValueRange &R);
+  /// cmpProb for two FP interval operands.
+  std::optional<double> fpCmpProb(CmpPred Pred, const ValueRange &L,
+                                  const ValueRange &R);
   /// P(a PRED b) for one FP interval pair under uniformity. Set-level
   /// certainties (0/1) are returned regardless of \p Trusted; anything
   /// that consults the distributions requires it.
@@ -235,11 +171,6 @@ private:
   /// produced by the running operation (same no-nesting discipline).
   std::vector<FPInterval> FPScratch;
   double FPNaNAcc = 0.0;
-
-  std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> Memo;
-  std::unordered_map<std::vector<uint64_t>, MemoEntry, MeetKeyHash>
-      MeetMemo;
-  std::vector<uint64_t> MeetKeyScratch;
 };
 
 /// Number of lattice points of numeric subrange \p S strictly below \p C.

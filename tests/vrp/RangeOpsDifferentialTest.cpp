@@ -384,8 +384,6 @@ TEST(RangeOpsDifferential, ExhaustiveSmallDomainAddMulRem) {
     ValueRange A = single(SA);
     for (const SubRange &SB : Domain) {
       ValueRange B = single(SB);
-      // Fresh ops per pair: the differential must hold on the uncached
-      // kernel path, not just on memo replay.
       RangeOps Ops(Opts, Stats);
       expectExact(Ops.add(A, B),
                   refBinary(A, B, refPairAdd, Opts.MaxSubRanges), "add");
@@ -403,8 +401,8 @@ TEST(RangeOpsDifferential, ExhaustiveSmallDomainAddMulRem) {
 }
 
 TEST(RangeOpsDifferential, MemoReplayMatchesUncached) {
-  // The same op twice through one instance: the second call is a memo
-  // hit and must return the identical result.
+  // The same op twice through one instance must return the identical
+  // result: nothing an instance evaluated before may change an answer.
   VRPOptions Opts;
   RangeStats Stats;
   RangeOps Ops(Opts, Stats);

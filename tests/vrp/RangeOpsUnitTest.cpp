@@ -4,10 +4,12 @@
 //
 // Directed unit tests complementing the property suite: float constant
 // folding, casts, logical not, the paper's worked §3.5 example, stride
-// behavior and lattice edge cases.
+// behavior, lattice edge cases and history independence of repeated
+// evaluation.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Value.h"
 #include "vrp/RangeOps.h"
 
 #include <gtest/gtest.h>
@@ -196,6 +198,69 @@ TEST_F(RangeOpsUnitTest, SubOpsAreCounted) {
   uint64_t Before = Stats.SubOps;
   Ops.add(numeric(1.0, 0, 10, 1), numeric(1.0, 0, 10, 1));
   EXPECT_GT(Stats.SubOps, Before);
+}
+
+TEST_F(RangeOpsUnitTest, RepeatedEvaluationIsHistoryIndependent) {
+  // An operation's result and its SubOps count depend only on its
+  // operands: evaluating the same operations again on the same instance
+  // must repeat exactly the same work (Figure 6 counts every evaluation).
+  Param N(IRType::Int, "n", 0, nullptr);
+  ValueRange A = ValueRange::ranges({SubRange::numeric(0.5, 0, 10, 1),
+                                     SubRange::numeric(0.5, 20, 40, 4)},
+                                    Opts.MaxSubRanges);
+  ValueRange B = numeric(1.0, -3, 3, 1);
+  // i in [0 : n-1], the loop-test shape, compared against n itself.
+  ValueRange I = ValueRange::ranges(
+      {SubRange(1.0, Bound(nullptr, 0), Bound(&N, -1), 1)},
+      Opts.MaxSubRanges);
+  ValueRange FA = Ops.intToFloat(A), FB = Ops.intToFloat(B);
+  ASSERT_TRUE(FA.isFloatRanges() && FB.isFloatRanges());
+  std::vector<std::pair<ValueRange, double>> Phi{{A, 0.25}, {B, 0.75}};
+
+  struct Outcome {
+    ValueRange Add, Meet, Assert, FPMul;
+    std::optional<double> Cmp;
+    std::vector<uint64_t> SubOps;
+  };
+  auto evaluate = [&] {
+    Outcome O;
+    auto counted = [&](auto &&Op) {
+      uint64_t Before = Stats.SubOps;
+      auto Result = Op();
+      O.SubOps.push_back(Stats.SubOps - Before);
+      return Result;
+    };
+    O.Add = counted([&] { return Ops.add(A, B); });
+    O.Meet = counted([&] { return Ops.meetWeighted(Phi); });
+    O.Assert = counted([&] {
+      return Ops.applyAssert(A, CmpPred::LT, ValueRange::bottom(), &N);
+    });
+    O.Cmp = counted([&] {
+      return Ops.cmpProb(CmpPred::LT, I, ValueRange::bottom(), nullptr, &N);
+    });
+    O.FPMul = counted([&] { return Ops.mul(FA, FB); });
+    return O;
+  };
+
+  Outcome First = evaluate();
+  Outcome Second = evaluate();
+  EXPECT_TRUE(First.Add.equals(Second.Add)) << First.Add.str();
+  EXPECT_TRUE(First.Meet.equals(Second.Meet)) << First.Meet.str();
+  EXPECT_TRUE(First.Assert.equals(Second.Assert)) << First.Assert.str();
+  EXPECT_TRUE(First.FPMul.equals(Second.FPMul)) << First.FPMul.str();
+  ASSERT_TRUE(First.Cmp.has_value());
+  EXPECT_EQ(First.Cmp, Second.Cmp);
+  EXPECT_EQ(First.SubOps, Second.SubOps);
+
+  // Every operation did real work, and the assert took the symbolic clip.
+  for (uint64_t Delta : First.SubOps)
+    EXPECT_GT(Delta, 0u);
+  ASSERT_TRUE(First.Assert.isRanges());
+  bool Symbolic = false;
+  for (const SubRange &S : First.Assert.subRanges())
+    Symbolic |= S.Hi.Sym == &N;
+  EXPECT_TRUE(Symbolic) << First.Assert.str();
+  EXPECT_TRUE(First.FPMul.isFloatRanges());
 }
 
 } // namespace
