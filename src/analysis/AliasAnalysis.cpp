@@ -9,6 +9,7 @@
 #include "ir/Function.h"
 #include "ir/Instruction.h"
 #include "ir/Module.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -47,37 +48,6 @@ double initialCellValue(const Module &M, const MemoryObject *O) {
   return O->isGlobal() && O->isScalarCell() ? M.scalarInit(O) : 0.0;
 }
 
-/// Module-wide store census: for each object, whether any store exists
-/// and, if all stores sit in one function, which one (null = multiple
-/// writer functions).
-struct StoreCensus {
-  std::map<const MemoryObject *, const Function *> SoleWriter;
-  std::map<const MemoryObject *, bool> HasStore;
-
-  explicit StoreCensus(const Module &M) {
-    for (const auto &G : M.functions())
-      for (const auto &B : G->blocks())
-        for (const auto &I : B->instructions())
-          if (const auto *St = dyn_cast<StoreInst>(I.get())) {
-            const MemoryObject *O = St->object();
-            auto [It, Fresh] = SoleWriter.emplace(O, G.get());
-            if (!Fresh && It->second != G.get())
-              It->second = nullptr;
-            HasStore[O] = true;
-          }
-  }
-
-  /// True when every value object \p O can hold while \p F runs was
-  /// produced by \p F itself (or is the initial value).
-  bool exclusiveTo(const MemoryObject *O, const Function *F) const {
-    auto It = HasStore.find(O);
-    if (It == HasStore.end() || !It->second)
-      return true; // Never stored: only the initial value exists.
-    auto W = SoleWriter.find(O);
-    return W != SoleWriter.end() && W->second == F;
-  }
-};
-
 std::string hexDouble(double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%a", V);
@@ -86,10 +56,25 @@ std::string hexDouble(double V) {
 
 } // namespace
 
+StoreCensus::StoreCensus(const Module &M) {
+  telemetry::count(telemetry::Counter::AliasCensusBuilds);
+  for (const auto &G : M.functions())
+    for (const auto &B : G->blocks())
+      for (const auto &I : B->instructions())
+        if (const auto *St = dyn_cast<StoreInst>(I.get())) {
+          auto [It, Fresh] = SoleWriter.emplace(St->object(), G.get());
+          if (!Fresh && It->second != G.get())
+            It->second = nullptr;
+        }
+}
+
 AliasInfo AliasInfo::analyze(const Function &F) {
+  return analyze(F, StoreCensus(*F.parent()));
+}
+
+AliasInfo AliasInfo::analyze(const Function &F, const StoreCensus &Census) {
   AliasInfo Info;
   const Module &M = *F.parent();
-  StoreCensus Census(M);
 
   // This function's stores per object, in block/instruction order (the
   // candidate and dependency orders inherit this determinism).
@@ -161,8 +146,12 @@ AliasInfo AliasInfo::analyze(const Function &F) {
 }
 
 std::string AliasInfo::environmentText(const Function &F) {
+  return environmentText(F, StoreCensus(*F.parent()));
+}
+
+std::string AliasInfo::environmentText(const Function &F,
+                                       const StoreCensus &Census) {
   const Module &M = *F.parent();
-  StoreCensus Census(M);
 
   // Objects loaded by F, deduplicated, in object-id order.
   std::map<unsigned, const MemoryObject *> Loaded;

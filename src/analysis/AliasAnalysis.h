@@ -40,7 +40,9 @@
 /// IR text (who else stores to an object; initial cell values), so every
 /// content-addressed cache keyed on that text must also fold in
 /// environmentText() — see PersistentCache::makeKey and the incremental
-/// scheduler's changed-function fingerprint.
+/// scheduler's changed-function fingerprint. The "who else stores" half
+/// is the StoreCensus: one walk of the whole module, built once per
+/// module state and shared by every function's summary and fingerprint.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +58,31 @@ namespace vrp {
 class Function;
 class Instruction;
 class LoadInst;
+class MemoryObject;
+class Module;
 class StoreInst;
 class Value;
+
+/// Module-wide store census: for each stored object, which function
+/// writes it, or null when stores sit in more than one function. One
+/// walk of every instruction in the module, so callers build it once per
+/// module state and share it (read-only, hence thread-safe) across every
+/// function's analyze() and environmentText().
+class StoreCensus {
+public:
+  explicit StoreCensus(const Module &M);
+
+  /// True when every value object \p O can hold while \p F runs was
+  /// produced by \p F itself (or is the initial value).
+  bool exclusiveTo(const MemoryObject *O, const Function *F) const {
+    auto It = SoleWriter.find(O);
+    return It == SoleWriter.end() || It->second == F;
+  }
+
+private:
+  /// Stored objects only: absent means never stored.
+  std::unordered_map<const MemoryObject *, const Function *> SoleWriter;
+};
 
 /// One weighted reaching-definition candidate for a load.
 struct AliasCandidate {
@@ -78,17 +103,23 @@ struct LoadAliasInfo {
   std::vector<AliasCandidate> Candidates;
 };
 
-/// The per-function alias summary. Computed fresh per propagation run —
-/// it reads the whole module, and module-level facts (exclusivity) can
-/// change whenever any function changes, so memoizing it per function
-/// would go stale silently.
+/// The per-function alias summary. Besides F's own IR it reads one
+/// module-level fact, writer exclusivity, through a StoreCensus of F's
+/// module. The census must describe the module as it is when the
+/// summary is built. The interprocedural driver builds one census per
+/// module state: within one driver run the module changes only through
+/// cloning, and cloning re-enters InterprocDriver::initState(), which
+/// rebuilds the census along with the call graph.
 class AliasInfo {
 public:
   AliasInfo() = default;
 
-  /// Builds the summary for \p F against its current module. Pure and
-  /// read-only: safe to run concurrently for different functions of the
-  /// same (unmutated) module.
+  /// Builds the summary for \p F against \p Census, a census of F's
+  /// current module. Pure and read-only: safe to run concurrently for
+  /// different functions of the same (unmutated) module.
+  static AliasInfo analyze(const Function &F, const StoreCensus &Census);
+
+  /// As above, building a census of F's module first (one module walk).
   static AliasInfo analyze(const Function &F);
 
   /// The summary for \p L, or null when the load must stay ⊥.
@@ -111,6 +142,11 @@ public:
   /// with its exclusivity bit, size, and initial value (hex-float).
   /// Content-addressed caches keyed on the function's IR must append
   /// this so a change in another function's stores invalidates F.
+  /// \p Census must describe F's current module.
+  static std::string environmentText(const Function &F,
+                                     const StoreCensus &Census);
+
+  /// As above, building a census of F's module first (one module walk).
   static std::string environmentText(const Function &F);
 
 private:

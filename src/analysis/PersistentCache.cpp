@@ -305,7 +305,8 @@ std::string contextText(const Function &F, const PropagationContext &Ctx,
         OS << "C" << CallIdx++ << ":" << renderRange(R, Names) << "\n";
       }
   if (Opts.EnableAliasRanges)
-    OS << AliasInfo::environmentText(F);
+    OS << (Ctx.Census ? AliasInfo::environmentText(F, *Ctx.Census)
+                      : AliasInfo::environmentText(F));
   return OS.str();
 }
 

@@ -201,6 +201,9 @@ private:
   bool DeadlineBlown = false;
 
   std::unique_ptr<CallGraph> CG;
+  /// Store census of M for the alias summaries and pcache keys; null
+  /// when alias ranges are off. Rebuilt with CG by initState().
+  std::unique_ptr<StoreCensus> Census;
   std::vector<const Function *> Fns; ///< Module order.
   std::vector<FunctionVRPResult> Results; ///< By function index.
   std::vector<char> HasResult, Dirty, EverAnalyzed;
@@ -240,6 +243,9 @@ void InterprocDriver::initState() {
   ParamTable.clear();
   ReturnTable.clear();
   CG = std::make_unique<CallGraph>(M);
+  // Cloning adds writers and re-enters here, so the census always
+  // describes the module the next sweeps analyze.
+  Census = Opts.EnableAliasRanges ? std::make_unique<StoreCensus>(M) : nullptr;
 }
 
 bool InterprocDriver::markDirty(unsigned I) {
@@ -312,6 +318,7 @@ InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
     return It == ReturnTable.end() ? ValueRange::bottom() : It->second;
   };
   Ctx.Cache = Cache;
+  Ctx.Census = Census.get();
 
   if (!Recursive) {
     for (unsigned I : Members) {
@@ -529,6 +536,7 @@ void InterprocDriver::runIntraprocedural() {
   Ctx.ParamRange = [](const Param *) { return ValueRange::bottom(); };
   Ctx.CallResultRange = [](const CallInst *) { return ValueRange::bottom(); };
   Ctx.Cache = Cache;
+  Ctx.Census = Census.get();
   probeDeadline();
   if (DeadlineBlown) {
     degradeRemaining();
@@ -674,17 +682,19 @@ InterprocDriver::runIncremental(const Module &PrevModule,
   // level facts outside its own IR text — writer exclusivity and global
   // initializers (analysis/AliasAnalysis.h) — so the fingerprint folds
   // in the alias environment: a store added in *another* function must
-  // invalidate this one.
-  auto fingerprint = [&](const Function &F) {
-    return store::fnv1a64(irText(F) + (Opts.EnableAliasRanges
-                                           ? AliasInfo::environmentText(F)
-                                           : std::string()));
+  // invalidate this one. Each side reads its own module's census.
+  auto PrevCensus = Opts.EnableAliasRanges
+                        ? std::make_unique<StoreCensus>(PrevModule)
+                        : nullptr;
+  auto fingerprint = [](const Function &F, const StoreCensus *C) {
+    return store::fnv1a64(irText(F) + (C ? AliasInfo::environmentText(F, *C)
+                                         : std::string()));
   };
   std::map<std::string, const Function *> PrevByName;
   std::map<std::string, uint64_t> PrevHashByName;
   for (const auto &PF : PrevModule.functions()) {
     PrevByName.emplace(PF->name(), PF.get());
-    PrevHashByName.emplace(PF->name(), fingerprint(*PF));
+    PrevHashByName.emplace(PF->name(), fingerprint(*PF, PrevCensus.get()));
   }
 
   // Changed-function detection by FNV-1a content hash of the canonical
@@ -702,7 +712,8 @@ InterprocDriver::runIncremental(const Module &PrevModule,
     const FunctionVRPResult *PR =
         It == PrevByName.end() ? nullptr : Previous.forFunction(It->second);
     bool Changed = true;
-    if (PR && !PR->Degraded && fingerprint(*F) == PrevHashByName[F->name()]) {
+    if (PR && !PR->Degraded &&
+        fingerprint(*F, Census.get()) == PrevHashByName[F->name()]) {
       FunctionVRPResult Rebound;
       if (PersistentCache::deserialize(PersistentCache::serialize(*PR), *F,
                                        Rebound)) {

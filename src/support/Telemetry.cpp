@@ -109,6 +109,8 @@ const char *counterName(Counter C) {
     return "alias_weighted_loads";
   case Counter::AliasBottomLoads:
     return "alias_bottom_loads";
+  case Counter::AliasCensusBuilds:
+    return "alias_census_builds";
   case Counter::ServeWorkerRestarts:
     return "serve_worker_restarts";
   case Counter::ServeReroutes:

@@ -117,6 +117,7 @@ enum class Counter : unsigned {
   AliasForwardedLoads,
   AliasWeightedLoads,
   AliasBottomLoads,
+  AliasCensusBuilds,
   // Fleet supervision (serve/Supervisor.h). Unlike everything above,
   // these count *fault* events — crashes, timeouts, failovers — so they
   // are inherently schedule-dependent and live in the

@@ -67,7 +67,9 @@ public:
       : F(F), Opts(Opts), Ctx(Ctx), Ops(Opts, Result.Stats),
         OwnedDFS(Ctx.Cache ? nullptr : std::make_unique<DFSInfo>(F)),
         DFS(Ctx.Cache ? Ctx.Cache->dfs(F) : *OwnedDFS),
-        Alias(Opts.EnableAliasRanges ? AliasInfo::analyze(F) : AliasInfo()) {
+        Alias(!Opts.EnableAliasRanges ? AliasInfo()
+              : Ctx.Census            ? AliasInfo::analyze(F, *Ctx.Census)
+                                      : AliasInfo::analyze(F)) {
     if (Opts.Trace && Opts.Trace->wants(F))
       Ring = std::make_unique<trace::TraceRing>(Opts.Trace->capacity());
   }

@@ -65,6 +65,7 @@ struct FunctionVRPResult {
 };
 
 class AnalysisCache;
+class StoreCensus;
 
 /// Context hooks for interprocedural analysis (§3.7): parameter ranges via
 /// jump functions and call-result ranges via return functions. The
@@ -80,6 +81,12 @@ struct PropagationContext {
   /// propagation call; must be thread-safe when functions are fanned out
   /// in parallel (analysis/AnalysisCache.h is).
   AnalysisCache *Cache = nullptr;
+
+  /// Optional store census of the function's current module
+  /// (analysis/AliasAnalysis.h). When set, the alias summary and the
+  /// persistent-cache key read it instead of walking the whole module per
+  /// run. Must outlive the propagation call; null builds one per run.
+  const StoreCensus *Census = nullptr;
 
   static PropagationContext intraprocedural();
 };

@@ -279,6 +279,66 @@ TEST(CloningTest, DivergentCallSitesTriggerCloning) {
   EXPECT_EQ(Run.ExitValue, 45 + 90);
 }
 
+/// The first load of the object named \p Object in \p F, or null.
+const LoadInst *firstLoadOf(const Function &F, const std::string &Object) {
+  for (const auto &B : F.blocks())
+    for (const auto &I : B->instructions())
+      if (const auto *L = dyn_cast<LoadInst>(I.get()))
+        if (L->object()->name() == Object)
+          return L;
+  return nullptr;
+}
+
+// work is the only writer of `last` and loads it in a later block, so
+// before cloning that load gets tier-(b) candidates. Cloning work makes
+// the clone a second writer: the store census must be rebuilt with the
+// call graph, and the load must then be ⊥ in both copies. A census kept
+// from before cloning would still call the original an exclusive writer.
+TEST(CloningTest, CloneOfStoringCalleeBreaksWriterExclusivity) {
+  const char *Source = R"(
+    var last = 0;
+    fn work(mode) {
+      last = mode;
+      var acc = 0;
+      for (var i = 0; i < 10; i = i + 1) {
+        if (mode == 0) { acc = acc + i; } else { acc = acc + 2 * i; }
+      }
+      if (last > 0) { acc = acc + 1; }
+      return acc;
+    }
+    fn main() {
+      return work(0) + work(1);
+    }
+  )";
+  VRPOptions Opts;
+  Opts.Interprocedural = true;
+
+  // Without cloning, work is the sole writer and the load has a range.
+  {
+    auto C = compile(Source);
+    ModuleVRPResult R = runModuleVRP(*C->IR, Opts);
+    const Function *Work = C->IR->findFunction("work");
+    const LoadInst *L = firstLoadOf(*Work, "last");
+    ASSERT_NE(L, nullptr);
+    EXPECT_FALSE(R.forFunction(Work)->rangeOf(L).isBottom());
+  }
+
+  auto C = compile(Source);
+  Opts.EnableCloning = true;
+  ModuleVRPResult R = runModuleVRP(*C->IR, Opts);
+  ASSERT_GT(R.FunctionsCloned, 0u);
+  unsigned Copies = 0;
+  for (const auto &F : C->IR->functions()) {
+    if (F->name().rfind("work", 0) != 0)
+      continue;
+    ++Copies;
+    const LoadInst *L = firstLoadOf(*F, "last");
+    ASSERT_NE(L, nullptr) << F->name();
+    EXPECT_TRUE(R.forFunction(F.get())->rangeOf(L).isBottom()) << F->name();
+  }
+  EXPECT_EQ(Copies, 2u);
+}
+
 TEST(InterprocTest, WholeSuiteInterproceduralSmoke) {
   // Every suite program must analyze cleanly in interprocedural mode with
   // bounded rounds.
