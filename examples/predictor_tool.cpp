@@ -8,8 +8,7 @@
 //                  [--threads=N] [--budget=N] [--deadline=MS]
 //                  [--dump-ir] [--ranges] [--stats[=json]]
 //                  [--trace=<function>] [--audit[=json]]
-//                  [--suite] [--journal=<path>] [--resume]
-//                  [--cache=<path>] [--cache-verify]
+//                  [--suite] [--cache=<path>] [--cache-verify]
 //                  [--fp-ranges=on|off] [--alias=on|off]
 //                  [--module-scale=N [--module-seed=S] [--module-layers=L]
 //                   [--mutate=K] [--incremental]] [file.vl]
@@ -25,13 +24,12 @@
 // --audit arms the soundness sentinel (vrp/Audit.h): executions are
 // replayed with every observed branch value checked against its
 // VRP-computed range; violating functions are quarantined to the
-// heuristic fallback and reported. --journal checkpoints each completed
-// suite benchmark to an append-only JSONL file; --resume skips the
-// benchmarks already journaled there (see docs/ROBUSTNESS.md).
-// --cache=<path> attaches the persistent result cache (docs/CACHE.md):
-// warm runs restore per-function analyses bitwise-identically from the
-// file and skip propagation. --cache-verify re-analyzes on every hit and
-// compares against the stored bytes, exiting 5 on any divergence.
+// heuristic fallback and reported. --cache=<path> attaches the
+// persistent result cache (docs/CACHE.md): warm runs restore per-function
+// analyses bitwise-identically from the file and skip propagation, which
+// is also how a killed --suite run is finished (docs/ROBUSTNESS.md).
+// --cache-verify re-analyzes on every hit and compares against the
+// stored bytes, exiting 5 on any divergence.
 // --fp-ranges=off and --alias=off are ablation toggles (both default
 // on): the first reverts floating-point-tested branches to the
 // heuristic fallback, the second makes every load ⊥ (docs/DOMAINS.md).
@@ -45,8 +43,8 @@
 // Exit codes: 0 success, 1 input rejected with diagnostics, 2 usage
 // error, 3 internal error, 4 soundness violations detected by --audit,
 // 5 --cache-verify divergence, 7 interrupted by SIGTERM/SIGINT after a
-// graceful flush (journal and cache commits are complete up to the
-// interruption point; rerun with --resume to continue).
+// graceful flush (cache commits are complete up to the interruption
+// point; rerun with the same --cache to finish).
 //
 //===----------------------------------------------------------------------===//
 
@@ -116,8 +114,8 @@ void printUsage() {
                "random] [--threads=N] [--budget=N] [--deadline=MS] "
                "[--dump-ir] [--ranges] [--stats[=json]] "
                "[--trace=<function>] [--audit[=json]] [--suite] "
-               "[--journal=<path>] [--resume] [--cache=<path>] "
-               "[--cache-verify] [--fp-ranges=on|off] [--alias=on|off]\n"
+               "[--cache=<path>] [--cache-verify] [--fp-ranges=on|off] "
+               "[--alias=on|off]\n"
                "                      [--module-scale=N [--module-seed=S] "
                "[--module-layers=L]\n                       [--mutate=K] "
                "[--incremental]] [file.vl]\n"
@@ -146,12 +144,6 @@ void printUsage() {
                "  --suite       evaluate the built-in benchmark suite "
                "instead of one\n                file (combine with "
                "--stats=json for the determinism check)\n"
-               "  --journal=<p> checkpoint each completed suite benchmark "
-               "to JSONL file\n                <p>, flushed as it "
-               "finishes (suite mode only)\n"
-               "  --resume      reuse results already in the --journal "
-               "file instead of\n                re-evaluating those "
-               "benchmarks\n"
                "  --cache=<p>   persistent result cache: warm runs "
                "restore per-function\n                analyses "
                "bitwise-identically from file <p> and skip\n"
@@ -180,8 +172,8 @@ void printUsage() {
                "exit codes: 0 success, 1 diagnostics, 2 usage error, "
                "3 internal error,\n            4 soundness violations "
                "detected by --audit, 5 cache divergence,\n            "
-               "7 interrupted after a graceful flush (rerun with "
-               "--resume)\n";
+               "7 interrupted after a graceful flush (rerun with the "
+               "same --cache\n            to finish)\n";
 }
 
 /// Parses a digits-only unsigned option value. stoul alone would accept
@@ -201,9 +193,9 @@ int runTool(int argc, char **argv) {
   std::string PredictorName = "vrp";
   bool DumpIR = false, DumpRanges = false;
   bool Stats = false, StatsJson = false, Suite = false;
-  bool Audit = false, AuditJson = false, Resume = false;
+  bool Audit = false, AuditJson = false;
   bool CacheVerify = false;
-  std::string JournalPath, CachePath;
+  std::string CachePath;
   std::string TraceFn;
   unsigned Threads = 1;
   uint64_t StepBudget = 0, DeadlineMs = 0;
@@ -251,15 +243,7 @@ int runTool(int argc, char **argv) {
         return ExitUsage;
       }
       Audit = AuditJson = true;
-    } else if (Arg.rfind("--journal=", 0) == 0) {
-      JournalPath = Arg.substr(10);
-      if (JournalPath.empty()) {
-        std::cerr << "invalid --journal value: expected a file path\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--resume")
-      Resume = true;
-    else if (Arg.rfind("--cache=", 0) == 0) {
+    } else if (Arg.rfind("--cache=", 0) == 0) {
       CachePath = Arg.substr(8);
       if (CachePath.empty()) {
         std::cerr << "invalid --cache value: expected a file path\n";
@@ -349,10 +333,6 @@ int runTool(int argc, char **argv) {
     telemetry::reset();
   }
 
-  if (!Suite && (!JournalPath.empty() || Resume)) {
-    std::cerr << "--journal/--resume checkpoint suite runs; add --suite\n";
-    return ExitUsage;
-  }
   if (CacheVerify && CachePath.empty()) {
     std::cerr << "--cache-verify compares against a cache; add "
                  "--cache=<path>\n";
@@ -452,9 +432,9 @@ int runTool(int argc, char **argv) {
       return ExitUsage;
     }
     // A long suite run interrupted by SIGTERM/SIGINT flushes what it has
-    // — the journal and any pending cache commits — instead of dying
-    // mid-append; already-running benchmarks finish, not-yet-started
-    // ones are skipped and reported as interrupted (exit 7).
+    // — every pending cache commit — instead of dying mid-append;
+    // already-running benchmarks finish, not-yet-started ones are skipped
+    // and reported as interrupted (exit 7).
     stopsignal::installHandlers();
     VRPOptions Opts;
     Opts.Interprocedural = true;
@@ -465,8 +445,6 @@ int runTool(int argc, char **argv) {
     Opts.EnableAliasRanges = AliasRanges;
     Opts.Audit = Audit;
     SuiteRunConfig Config;
-    Config.JournalPath = JournalPath;
-    Config.Resume = Resume;
     Config.SupervisorRetry = true;
     Config.CachePath = CachePath;
     Config.CacheVerify = CacheVerify;
@@ -488,8 +466,10 @@ int runTool(int argc, char **argv) {
       return ExitAudit;
     if (stopsignal::stopRequested()) {
       std::cerr << "interrupted: suite stopped early; completed "
-                   "benchmarks are flushed"
-                << (JournalPath.empty() ? "" : "; rerun with --resume")
+                   "benchmarks are flushed; "
+                << (CachePath.empty() ? "rerun to finish"
+                                      : "rerun with the same --cache to "
+                                        "finish")
                 << "\n";
       return ExitInterrupted;
     }

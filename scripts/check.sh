@@ -16,8 +16,8 @@ ctest --test-dir build-tsan --output-on-failure -R 'ThreadPool|ParallelDetermini
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
 # corpus, the fault-injection suite, the structured-error paths, and the
-# soundness sentinel + journal, where memory bugs would hide behind the
-# recovery code.
+# soundness sentinel + torn-store rerun, where memory bugs would hide
+# behind the recovery code.
 cmake -B build-asan -G Ninja -DVRP_SANITIZE=address
 cmake --build build-asan --target MalformedCorpusTest FaultToleranceTest \
   SupportTest AuditTest QuarantineResumeTest predictor_tool
@@ -125,24 +125,37 @@ else
 fi
 echo "fault-injection smoke: ok"
 
-# Kill-and-resume smoke: journal a full run, truncate it to the header
-# plus three entries with a torn fourth line (as a killed writer leaves
-# it), resume, and require the suite stats to be bitwise identical to
-# the uninterrupted run. Comparison stops at the "counters" key: the
-# per-benchmark results, totals and quarantine list above it are the
-# deterministic contract; the process-global telemetry below it counts
-# journal writes/reuses, which legitimately differ between a fresh and a
-# resumed run.
-build/examples/predictor_tool --suite --stats=json \
-  --journal=build/journal-full.jsonl \
-  | sed '/"counters"/,$d' > build/stats-full.json
-head -n 4 build/journal-full.jsonl > build/journal-cut.jsonl
-printf '{"name": "torn", "ok": tr' >> build/journal-cut.jsonl
-build/examples/predictor_tool --suite --stats=json \
-  --journal=build/journal-cut.jsonl --resume \
-  | sed '/"counters"/,$d' > build/stats-resumed.json
-diff build/stats-full.json build/stats-resumed.json
-echo "kill-and-resume smoke: ok"
+# Torn-store rerun, under ASan+UBSan: a killed --suite run is finished by
+# rerunning it with the same --cache. Fill a store, cut it in half (a
+# killed writer leaves a torn tail), rerun, and require the stats to be
+# bitwise identical to an uncached run. Comparison stops at the "pcache"
+# key: everything above it is the deterministic contract. The rerun must
+# drop the torn record (corrupt_records = 1), reuse the committed prefix
+# (hits > 0) and recompute the rest (misses > 0).
+rm -f build/torn.pcache
+build-asan/examples/predictor_tool --suite --stats=json \
+  --cache=build/torn.pcache > /dev/null
+truncate -s $(( $(stat -c %s build/torn.pcache) / 2 )) build/torn.pcache
+build-asan/examples/predictor_tool --suite --stats=json \
+  > build/stats-uncached.json
+build-asan/examples/predictor_tool --suite --stats=json \
+  --cache=build/torn.pcache > build/stats-rerun.json
+diff <(sed '/"pcache"/,$d' build/stats-uncached.json) \
+     <(sed '/"pcache"/,$d' build/stats-rerun.json)
+pcache_field() { # stats file, key -> value from its "pcache" block
+  grep -o '"pcache": {[^}]*}' "$1" | grep -o "\"$2\": [0-9]*" \
+    | grep -o '[0-9]*$'
+}
+torn_corrupt=$(pcache_field build/stats-rerun.json corrupt_records)
+torn_hits=$(pcache_field build/stats-rerun.json hits)
+torn_misses=$(pcache_field build/stats-rerun.json misses)
+if [ "${torn_corrupt:-0}" -ne 1 ] || [ "${torn_hits:-0}" -eq 0 ] ||
+   [ "${torn_misses:-0}" -eq 0 ]; then
+  echo "torn-store rerun: expected corrupt_records=1, hits>0, misses>0;" \
+    "got $torn_corrupt, $torn_hits, $torn_misses" >&2
+  exit 1
+fi
+echo "torn-store rerun: ok (hits $torn_hits, misses $torn_misses)"
 
 # Warm-start: a second --cache run must restore every analysis from disk
 # (pcache_hits > 0, zero misses) and reproduce the cold run's stats
@@ -158,10 +171,8 @@ build/examples/predictor_tool --suite --stats=json --cache=build/pcache.bin \
   > build/stats-warm.json
 diff <(sed '/"pcache"/,$d' build/stats-cold.json) \
      <(sed '/"pcache"/,$d' build/stats-warm.json)
-warm_hits=$(grep -o '"pcache": {[^}]*}' build/stats-warm.json \
-  | grep -o '"hits": [0-9]*' | grep -o '[0-9]*')
-warm_misses=$(grep -o '"pcache": {[^}]*}' build/stats-warm.json \
-  | grep -o '"misses": [0-9]*' | grep -o '[0-9]*')
+warm_hits=$(pcache_field build/stats-warm.json hits)
+warm_misses=$(pcache_field build/stats-warm.json misses)
 if [ "${warm_hits:-0}" -eq 0 ] || [ "${warm_misses:-1}" -ne 0 ]; then
   echo "warm-start: expected hits>0 and misses=0, got hits=$warm_hits misses=$warm_misses" >&2
   exit 1

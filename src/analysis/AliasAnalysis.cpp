@@ -9,10 +9,10 @@
 #include "ir/Function.h"
 #include "ir/Instruction.h"
 #include "ir/Module.h"
+#include "support/Format.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -46,12 +46,6 @@ double overlapWeight(const Value *SIdx, const Value *LIdx,
 /// ObjectState construction exactly.
 double initialCellValue(const Module &M, const MemoryObject *O) {
   return O->isGlobal() && O->isScalarCell() ? M.scalarInit(O) : 0.0;
-}
-
-std::string hexDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
 }
 
 } // namespace
@@ -164,6 +158,6 @@ std::string AliasInfo::environmentText(const Function &F,
   for (const auto &[Id, O] : Loaded)
     OS << "A" << Id << ":" << O->name() << ":"
        << (Census.exclusiveTo(O, &F) ? 1 : 0) << ":" << O->size() << ":"
-       << hexDouble(initialCellValue(M, O)) << "\n";
+       << hexFloat(initialCellValue(M, O)) << "\n";
   return OS.str();
 }

@@ -11,6 +11,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Instruction.h"
 #include "support/FaultInjection.h"
+#include "support/Format.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -22,14 +23,6 @@
 using namespace vrp;
 
 namespace {
-
-/// Exact double rendering: "%a" hex floats round-trip bitwise through
-/// strtod (the same contract eval/Journal relies on).
-std::string hexDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
-}
 
 bool parseDouble(const std::string &Tok, double &Out) {
   if (Tok.empty())
@@ -71,7 +64,7 @@ std::string encodeValue(const Value *V) {
   case Value::Kind::Constant: {
     const auto *C = cast<Constant>(V);
     return C->isInt() ? "ci" + std::to_string(C->intValue())
-                      : "cf" + hexDouble(C->floatValue());
+                      : "cf" + hexFloat(C->floatValue());
   }
   }
   return "_";
@@ -152,15 +145,15 @@ std::string renderRange(const ValueRange &VR, const ValueEncoder &Enc) {
     OS << "B";
     return OS.str();
   case ValueRange::Kind::FloatConst:
-    OS << "F " << hexDouble(VR.floatValue());
+    OS << "F " << hexFloat(VR.floatValue());
     return OS.str();
   case ValueRange::Kind::FloatRanges: {
     FPIntervalView FPs = VR.fpIntervals();
-    OS << "N " << FPs.size() << " " << hexDouble(VR.nanMass());
+    OS << "N " << FPs.size() << " " << hexFloat(VR.nanMass());
     for (size_t I = 0; I < FPs.size(); ++I) {
       FPInterval S = FPs[I];
-      OS << " " << hexDouble(S.Prob) << " " << hexDouble(S.Lo) << " "
-         << hexDouble(S.Hi);
+      OS << " " << hexFloat(S.Prob) << " " << hexFloat(S.Lo) << " "
+         << hexFloat(S.Hi);
     }
     return OS.str();
   }
@@ -169,7 +162,7 @@ std::string renderRange(const ValueRange &VR, const ValueEncoder &Enc) {
   }
   OS << "R " << VR.subRanges().size();
   for (const SubRange &S : VR.subRanges())
-    OS << " " << hexDouble(S.Prob) << " " << Enc(S.Lo.Sym) << " "
+    OS << " " << hexFloat(S.Prob) << " " << Enc(S.Lo.Sym) << " "
        << S.Lo.Offset << " " << Enc(S.Hi.Sym) << " " << S.Hi.Offset << " "
        << S.Stride;
   return OS.str();
@@ -270,8 +263,8 @@ std::string optionsText(const VRPOptions &O) {
      << O.EnableDerivation << "|" << O.EnableAssertions << "|"
      << O.WidenThreshold << "|" << O.BranchUpdateLimit << "|"
      << O.FlowVisitLimit << "|" << O.DerivationRetryLimit << "|"
-     << hexDouble(O.AssumedSymbolicCount) << "|" << O.Interprocedural << "|"
-     << O.EnableCloning << "|" << hexDouble(O.ProbTolerance) << "|"
+     << hexFloat(O.AssumedSymbolicCount) << "|" << O.Interprocedural << "|"
+     << O.EnableCloning << "|" << hexFloat(O.ProbTolerance) << "|"
      << O.Budget.PropagationStepLimit << "|" << O.Budget.DeadlineMs << "|"
      << O.EnableFPRanges << "|" << O.EnableAliasRanges;
   return OS.str();
@@ -346,7 +339,7 @@ std::string PersistentCache::serialize(const FunctionVRPResult &R) {
      << R.Stats.Widenings << "\n";
   OS << "blockprob " << R.BlockProb.size() << "\n";
   for (double P : R.BlockProb)
-    OS << hexDouble(P) << "\n";
+    OS << hexFloat(P) << "\n";
 
   // Ranges is pointer-keyed and unordered; Branches is pointer-keyed and
   // pointer-ordered. Sort both by their pointer-free encodings so the
@@ -370,7 +363,7 @@ std::string PersistentCache::serialize(const FunctionVRPResult &R) {
             [](const auto &A, const auto &B) { return A.first < B.first; });
   OS << "branches " << Branches.size() << "\n";
   for (const auto &[Id, Pred] : Branches)
-    OS << Id << " " << hexDouble(Pred->ProbTrue) << " "
+    OS << Id << " " << hexFloat(Pred->ProbTrue) << " "
        << (Pred->FromRanges ? 1 : 0) << " " << (Pred->Reachable ? 1 : 0)
        << "\n";
   OS << "end\n";

@@ -88,8 +88,8 @@ public:
                              const PropagationContext &Ctx);
 
   /// Exact, deterministic serialization of a result: line-oriented text
-  /// with hex-float doubles (bitwise round trips, mirroring eval/Journal)
-  /// and pointer-free value references (instructions by dense id, params
+  /// with hex-float doubles (bitwise round trips, support/Format.h) and
+  /// pointer-free value references (instructions by dense id, params
   /// by index, constants by value), entries sorted so the bytes are
   /// independent of heap layout and thread schedule.
   static std::string serialize(const FunctionVRPResult &R);

@@ -97,20 +97,11 @@ ErrorCdf ErrorCdf::average(const std::vector<ErrorCdf> &Cdfs) {
 }
 
 std::array<double, ErrorCdf::NumBuckets + 2> ErrorCdf::rawState() const {
-  assert(!IsAverage && "averaged CDFs are derived, not journaled");
+  assert(!IsAverage && "averaged CDFs have no accumulator state");
   std::array<double, NumBuckets + 2> S{};
   for (unsigned I = 0; I < NumBuckets; ++I)
     S[I] = BucketWeight[I];
   S[NumBuckets] = TotalWeight;
   S[NumBuckets + 1] = ErrorSum;
   return S;
-}
-
-ErrorCdf ErrorCdf::fromRawState(const std::array<double, NumBuckets + 2> &S) {
-  ErrorCdf C;
-  for (unsigned I = 0; I < NumBuckets; ++I)
-    C.BucketWeight[I] = S[I];
-  C.TotalWeight = S[NumBuckets];
-  C.ErrorSum = S[NumBuckets + 1];
-  return C;
 }

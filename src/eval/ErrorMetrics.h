@@ -69,14 +69,9 @@ public:
   static ErrorCdf average(const std::vector<ErrorCdf> &Cdfs);
 
   /// The exact accumulator state — BucketWeight[0..19], TotalWeight,
-  /// ErrorSum — for the suite journal (eval/Journal.h), which must
-  /// round-trip curves bit-for-bit across a crash and resume. Only valid
-  /// for accumulated (non-averaged) CDFs, which is all the journal ever
-  /// stores.
+  /// ErrorSum — for checks that compare per-benchmark curves bit for bit.
+  /// Only valid for accumulated (non-averaged) CDFs.
   std::array<double, NumBuckets + 2> rawState() const;
-
-  /// Rebuilds a CDF from rawState() output.
-  static ErrorCdf fromRawState(const std::array<double, NumBuckets + 2> &S);
 
 private:
   double BucketWeight[NumBuckets] = {};

@@ -47,8 +47,10 @@ void vrp::printCdfTable(const std::map<PredictorKind, ErrorCdf> &Curves,
 namespace {
 
 /// Minimal JSON string escaping (benchmark names are identifiers, but a
-/// malformed-corpus name must not break the report).
-std::string jsonEscape(const std::string &S) {
+/// malformed-corpus name must not break the report). Deliberately not
+/// vrp::jsonEscape: every control byte, \n included, renders as \u00xx,
+/// and the stats JSON is a bitwise contract.
+std::string statsJsonEscape(const std::string &S) {
   std::string Out;
   Out.reserve(S.size());
   for (char C : S) {
@@ -107,7 +109,7 @@ void vrp::writeSuiteStatsJson(const SuiteEvaluation &Suite,
   for (size_t I = 0; I < Suite.Benchmarks.size(); ++I) {
     const BenchmarkEvaluation &B = Suite.Benchmarks[I];
     OS << "    {\n"
-       << "      \"name\": \"" << jsonEscape(B.Name) << "\",\n"
+       << "      \"name\": \"" << statsJsonEscape(B.Name) << "\",\n"
        << "      \"ok\": " << (B.Ok ? "true" : "false") << ",\n"
        << "      \"degraded_functions\": " << B.DegradedFunctions << ",\n"
        << "      \"partial_profile\": "
@@ -147,8 +149,8 @@ void vrp::writeSuiteStatsJson(const SuiteEvaluation &Suite,
   for (size_t I = 0; I < Suite.Quarantines.size(); ++I) {
     const quarantine::Record &Q = Suite.Quarantines[I];
     OS << (I == 0 ? "\n" : ",\n") << "    {\"benchmark\": \""
-       << jsonEscape(Q.Context) << "\", \"function\": \""
-       << jsonEscape(Q.Function) << "\", \"reason\": \""
+       << statsJsonEscape(Q.Context) << "\", \"function\": \""
+       << statsJsonEscape(Q.Function) << "\", \"reason\": \""
        << quarantine::reasonName(Q.Why)
        << "\", \"violations\": " << Q.Violations << "}";
   }

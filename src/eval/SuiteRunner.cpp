@@ -7,7 +7,6 @@
 #include "eval/SuiteRunner.h"
 
 #include "analysis/PersistentCache.h"
-#include "eval/Journal.h"
 #include "profile/ProfilePredictor.h"
 #include "support/FaultInjection.h"
 #include "support/Signal.h"
@@ -446,31 +445,12 @@ SuiteEvaluation vrp::evaluateSuite(
   SuiteEvaluation Suite;
   unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
 
-  // Journal setup: load reusable entries (resume) and open the append
-  // side. A fingerprint mismatch — different programs or options —
-  // silently invalidates the old journal: reuse would merge results of a
-  // different experiment.
-  std::unique_ptr<journal::SuiteJournal> Journal;
-  std::map<std::string, BenchmarkEvaluation> Reused;
-  if (!Config.JournalPath.empty()) {
-    std::string Fingerprint = journal::fingerprint(Programs, Opts);
-    bool Append = false;
-    if (Config.Resume) {
-      journal::LoadResult Loaded =
-          journal::SuiteJournal::load(Config.JournalPath, Fingerprint);
-      if (Loaded.HeaderMatched) {
-        Reused = std::move(Loaded.Entries);
-        Append = true;
-      }
-    }
-    Journal = journal::SuiteJournal::open(Config.JournalPath, Fingerprint,
-                                          Append);
-  }
-
   // Persistent result store. Lookups see only the snapshot frozen here, so
   // hit/miss patterns — and every counter derived from them — are the same
   // at any thread count; this run's own results land on disk for the NEXT
-  // run. Open failure (unwritable path) degrades to an uncached run.
+  // run. That is also how a killed run is finished: rerun against the same
+  // store, and the benchmarks that committed skip propagation. Open
+  // failure (unwritable path) degrades to an uncached run.
   std::unique_ptr<PersistentCache> PCache;
   if (!Config.CachePath.empty())
     PCache = PersistentCache::open(Config.CachePath, Config.CacheVerify);
@@ -523,21 +503,13 @@ SuiteEvaluation vrp::evaluateSuite(
     return Second;
   };
 
-  // One slot under journaling: reuse a checkpointed result outright, or
-  // evaluate and checkpoint. Journaled failures are reused too — resume
-  // must reproduce the uninterrupted run, not improve on it.
+  // One slot. Cooperative interruption (SIGTERM/SIGINT via
+  // support/Signal.h): benchmarks already running finish and commit to
+  // the store normally; ones that have not started yet fail structurally
+  // with stage "interrupted" and never touch the store, so a rerun
+  // evaluates them afresh.
   auto evalSlot = [&](const BenchmarkProgram &P,
                       const VRPOptions &SlotOpts) -> BenchmarkEvaluation {
-    auto It = Reused.find(P.Name);
-    if (It != Reused.end()) {
-      telemetry::count(telemetry::Counter::JournalEntriesReused);
-      return It->second;
-    }
-    // Cooperative interruption (SIGTERM/SIGINT via support/Signal.h):
-    // benchmarks already running finish and flush normally; ones that
-    // have not started yet fail structurally with stage "interrupted"
-    // and are deliberately NOT journaled — a journaled failure would be
-    // reused by --resume, turning the interruption permanent.
     if (stopsignal::stopRequested()) {
       BenchmarkEvaluation Eval;
       Eval.Name = P.Name;
@@ -545,12 +517,8 @@ SuiteEvaluation vrp::evaluateSuite(
                             "interrupted",
                             "stop requested before this benchmark started");
     }
-    BenchmarkEvaluation Eval = Config.SupervisorRetry
-                                   ? runSupervised(P, SlotOpts)
-                                   : runSlot(P, SlotOpts);
-    if (Journal)
-      Journal->append(Eval);
-    return Eval;
+    return Config.SupervisorRetry ? runSupervised(P, SlotOpts)
+                                  : runSlot(P, SlotOpts);
   };
 
   if (Threads > 1 && Programs.size() > 1) {
@@ -583,10 +551,6 @@ SuiteEvaluation vrp::evaluateSuite(
       }
     }
   }
-
-  for (const BenchmarkProgram *P : Programs)
-    if (Reused.count(P->Name))
-      ++Suite.JournalReused;
 
   for (const BenchmarkEvaluation &B : Suite.Benchmarks) {
     Suite.CacheTotals += B.Cache;

@@ -128,10 +128,6 @@ struct SuiteEvaluation {
   std::vector<quarantine::Record> Quarantines;
   /// Benchmarks the supervisor re-ran after a transient failure.
   unsigned SupervisorRetries = 0;
-  /// Benchmarks reused from the journal instead of re-evaluated
-  /// (--resume). Deliberately absent from the stats JSON: a resumed run
-  /// must produce output identical to an uninterrupted one.
-  unsigned JournalReused = 0;
   /// True when the run had a persistent result cache attached
   /// (SuiteRunConfig::CachePath); the stats JSON then carries a "pcache"
   /// block with the counters below.
@@ -145,25 +141,19 @@ struct SuiteEvaluation {
   uint64_t PCacheDivergences = 0;
 };
 
-/// Suite-run mechanics orthogonal to the analysis options: crash
-/// journaling and the fault supervisor. Defaults reproduce the plain
-/// evaluateSuite behavior exactly.
+/// Suite-run mechanics orthogonal to the analysis options: the fault
+/// supervisor and the persistent result cache. Defaults reproduce the
+/// plain evaluateSuite behavior exactly.
 struct SuiteRunConfig {
-  /// Append-only JSONL checkpoint: a header line binding the program
-  /// list and options, then one line per completed benchmark, flushed as
-  /// each finishes (any completion order under the parallel fan-out).
-  std::string JournalPath; ///< Empty: no journal.
-  /// Reuse journaled results: benchmarks already present (under a
-  /// matching header) are not re-evaluated; the rest run and are
-  /// appended. A header mismatch discards the journal and recomputes.
-  bool Resume = false;
   /// Supervise benchmark slots: an escaped worker exception becomes a
   /// structured failure instead of a pool task failure, and a *transient*
   /// failure (budget/deadline or injected fault) is retried once.
   bool SupervisorRetry = false;
   /// Persistent content-addressed result cache (analysis/PersistentCache):
   /// warm runs restore per-function VRP results bitwise-identically from
-  /// this file and skip propagation. Empty: no cache.
+  /// this file and skip propagation. It is also how a killed run is
+  /// finished: rerunning against the same file skips propagation for
+  /// every benchmark that committed before the kill. Empty: no cache.
   std::string CachePath;
   /// With CachePath: do not skip on a hit — re-analyze, compare the fresh
   /// bytes against the stored record, and count divergences (surfaced as
@@ -191,7 +181,7 @@ SuiteEvaluation evaluateSuite(
     const std::vector<const BenchmarkProgram *> &Programs,
     const VRPOptions &Opts);
 
-/// As above, with journaling / resume / supervision (see SuiteRunConfig).
+/// As above, with supervision and a persistent cache (see SuiteRunConfig).
 SuiteEvaluation evaluateSuite(
     const std::vector<const BenchmarkProgram *> &Programs,
     const VRPOptions &Opts, const SuiteRunConfig &Config);

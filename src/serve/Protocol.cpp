@@ -6,43 +6,10 @@
 
 #include "serve/Protocol.h"
 
-#include <cstdio>
+#include "support/Format.h"
 
 using namespace vrp;
 using namespace vrp::serve;
-
-std::string serve::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
 
 const char *serve::respStatusName(RespStatus S) {
   switch (S) {
@@ -94,10 +61,9 @@ std::string serve::serializeResponse(const Response &R) {
 
 namespace {
 
-/// Strict scanner over one flat JSON object, in the style of
-/// eval/Journal.cpp's Cursor: enough JSON for the shapes we emit,
-/// nothing more (no nested containers — the protocol keeps payloads as
-/// strings precisely so this stays flat).
+/// Strict scanner over one flat JSON object: enough JSON for the shapes
+/// we emit, nothing more (no nested containers — the protocol keeps
+/// payloads as strings precisely so this stays flat).
 class Cursor {
 public:
   explicit Cursor(const std::string &S) : S(S) {}

@@ -12,12 +12,11 @@
 /// failures — the same structured category/site/message triple the rest
 /// of the pipeline uses (support/Status.h).
 ///
-/// Parsing follows eval/Journal.cpp's philosophy: a small, strict,
-/// dependency-free scanner over exactly the shapes we emit. Keys may
-/// appear in any order; unknown keys with scalar values are skipped so
-/// the protocol can grow without breaking older peers; any structural
-/// violation rejects the whole message (the transport then answers with
-/// a protocol error rather than guessing).
+/// Parsing is a small, strict, dependency-free scanner over exactly the
+/// shapes we emit. Keys may appear in any order; unknown keys with scalar
+/// values are skipped so the protocol can grow without breaking older
+/// peers; any structural violation rejects the whole message (the
+/// transport then answers with a protocol error rather than guessing).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +63,6 @@ struct Response {
   std::string Site;     ///< Failing stage or "admission" (error/shed).
   std::string Message;  ///< Human-readable reason (error/shed).
 };
-
-/// JSON string escaping, byte-compatible with eval/Journal's writer
-/// (\" \\ \n \t \r, other control bytes as \u00xx).
-std::string jsonEscape(const std::string &S);
 
 std::string serializeRequest(const Request &R);
 std::string serializeResponse(const Response &R);

@@ -11,10 +11,10 @@
 #include "driver/Pipeline.h"
 #include "ir/IRPrinter.h"
 #include "support/FaultInjection.h"
+#include "support/Format.h"
 #include "support/ResultStore.h"
 
 #include <chrono>
-#include <cstdio>
 #include <unistd.h>
 #include <exception>
 #include <sstream>
@@ -29,14 +29,6 @@ namespace {
 bool knownPredictor(const std::string &Name) {
   return Name == "vrp" || Name == "ball-larus" || Name == "90-50" ||
          Name == "random";
-}
-
-/// Hex-float rendering, bitwise round-trippable — the same discipline
-/// eval/Journal uses for checkpointed doubles.
-std::string hexFloat(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
 }
 
 /// A failure is worth one retry when it looks transient: an injected

@@ -21,6 +21,45 @@ std::string vrp::formatPercent(double Fraction, unsigned Precision) {
   return formatDouble(Fraction * 100.0, Precision) + "%";
 }
 
+std::string vrp::hexFloat(double Value) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%a", Value);
+  return Buf;
+}
+
+std::string vrp::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (unsigned char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (C < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += static_cast<char>(C);
+      }
+    }
+  }
+  return Out;
+}
+
 void TextTable::print(std::ostream &OS) const {
   std::vector<size_t> Widths(Header.size(), 0);
   for (size_t I = 0; I < Header.size(); ++I)

@@ -8,6 +8,8 @@
 /// Small text-formatting helpers shared by the evaluation harness and the
 /// bench binaries: fixed-precision numbers, percentages, and an aligned
 /// ASCII table printer used to regenerate the paper's figures as tables.
+/// Also the two exact-text helpers behind every bitwise contract that
+/// renders doubles or strings: hex-float doubles and JSON string escaping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,14 @@ std::string formatDouble(double Value, unsigned Precision = 2);
 
 /// Formats \p Fraction (in [0,1]) as a percentage, e.g. 0.914 -> "91.4%".
 std::string formatPercent(double Fraction, unsigned Precision = 1);
+
+/// Exact double rendering ("0x1.8p-1"): printf %a / strtod round-trips
+/// every double bitwise, which cache keys, cache payloads and served
+/// probabilities rely on.
+std::string hexFloat(double Value);
+
+/// JSON string escaping: \" \\ \n \t \r, other control bytes as \u00xx.
+std::string jsonEscape(const std::string &S);
 
 /// An aligned plain-text table. Add a header row and data rows, then print.
 class TextTable {

@@ -10,8 +10,8 @@
 /// exactly one thing: set an atomic flag. Long-running drivers poll the
 /// flag at safe points — evaluateSuite between benchmark slots, the
 /// predictord accept/worker loops between requests — and wind down
-/// cleanly: journals keep every completed entry, the persistent cache
-/// keeps every committed scope, and nothing dies mid-append.
+/// cleanly: the persistent cache keeps every committed scope, and nothing
+/// dies mid-append.
 ///
 /// The flag is deliberately process-global (signals are process-global)
 /// and latching: once requested, stop stays requested until resetForTests.
@@ -26,7 +26,8 @@ namespace vrp::stopsignal {
 /// Installs SIGTERM and SIGINT handlers that set the stop flag. Safe to
 /// call more than once. Does NOT alter SIGKILL semantics (nothing can):
 /// kill -9 still dies instantly — crash-resilience of the on-disk state
-/// is owned by the journal/store formats, not by this facility.
+/// is owned by the store format (support/ResultStore.h), not by this
+/// facility.
 void installHandlers();
 
 /// True once a stop was requested (by a signal or requestStop()).

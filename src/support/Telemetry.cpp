@@ -67,10 +67,6 @@ const char *counterName(Counter C) {
     return "functions_quarantined";
   case Counter::SupervisorRetries:
     return "supervisor_retries";
-  case Counter::JournalEntriesWritten:
-    return "journal_entries_written";
-  case Counter::JournalEntriesReused:
-    return "journal_entries_reused";
   case Counter::PersistentCacheHits:
     return "pcache_hits";
   case Counter::PersistentCacheMisses:

@@ -79,10 +79,8 @@ enum class Counter : unsigned {
   AuditChecks,
   SoundnessViolations,
   FunctionsQuarantined,
-  // Suite supervision and crash-resilient resume (eval/SuiteRunner.h).
+  // Suite supervision (eval/SuiteRunner.h).
   SupervisorRetries,
-  JournalEntriesWritten,
-  JournalEntriesReused,
   // Persistent result cache (analysis/PersistentCache.h).
   PersistentCacheHits,
   PersistentCacheMisses,

@@ -57,7 +57,7 @@ namespace {
 /// constants by value, params by index, instructions by dense id. Heap
 /// addresses would also be a total order, but one that varies from
 /// process to process — and the canonical form must serialize identically
-/// across runs (analysis/PersistentCache round trips, journal resume).
+/// across runs (analysis/PersistentCache round trips).
 std::tuple<int, int64_t, uint64_t> symRank(const Value *Sym) {
   if (!Sym)
     return {0, 0, 0};

@@ -111,6 +111,14 @@ TEST(PersistentCacheTest, ResultAffectingOptionsChangeTheKey) {
   Budget.Budget.PropagationStepLimit = 12345;
   EXPECT_NE(PersistentCache::makeKey(*F, Budget, Ctx), BaseKey);
 
+  VRPOptions NoFP = Base;
+  NoFP.EnableFPRanges = !NoFP.EnableFPRanges;
+  EXPECT_NE(PersistentCache::makeKey(*F, NoFP, Ctx), BaseKey);
+
+  VRPOptions NoAlias = Base;
+  NoAlias.EnableAliasRanges = !NoAlias.EnableAliasRanges;
+  EXPECT_NE(PersistentCache::makeKey(*F, NoAlias, Ctx), BaseKey);
+
   // Threads is execution mechanics, not analysis input: results are
   // identical at any thread count, so the key must not move.
   VRPOptions Threads = Base;

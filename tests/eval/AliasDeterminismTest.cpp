@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "eval/Journal.h"
+#include "EvaluationOracle.h"
 #include "eval/SuiteRunner.h"
 
 #include <cstdio>
@@ -50,13 +50,13 @@ VRPOptions aliasOptions(unsigned Threads = 1) {
   return Opts;
 }
 
-/// Bitwise identity via the canonical journal line (covers every
+/// Bitwise identity via the evaluation oracle (covers every
 /// deterministic field of an evaluation, curves included).
 void expectIdentical(const SuiteEvaluation &A, const SuiteEvaluation &B) {
   ASSERT_EQ(A.Benchmarks.size(), B.Benchmarks.size());
   for (size_t I = 0; I < A.Benchmarks.size(); ++I)
-    EXPECT_EQ(journal::serializeEvaluation(A.Benchmarks[I]),
-              journal::serializeEvaluation(B.Benchmarks[I]))
+    EXPECT_EQ(oracle::serializeEvaluation(A.Benchmarks[I]),
+              oracle::serializeEvaluation(B.Benchmarks[I]))
         << A.Benchmarks[I].Name;
   for (PredictorKind Kind : allPredictors()) {
     EXPECT_EQ(A.AveragedUnweighted.at(Kind).meanError(),

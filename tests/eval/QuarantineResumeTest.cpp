@@ -1,22 +1,22 @@
-//===- tests/eval/QuarantineResumeTest.cpp - Sentinel + journal e2e -------===//
+//===- tests/eval/QuarantineResumeTest.cpp - Sentinel + rerun e2e ---------===//
 //
 // Part of the VRP reproduction of Patterson, PLDI 1995.
 //
-// End-to-end contracts of the soundness sentinel and the crash-resilient
-// journal. Quarantine: k of N benchmarks with injected unsound ranges
-// are detected, demoted to the Ball–Larus fallback, and reported — while
-// the suite completes all N and the untouched N−k results stay bitwise
-// identical. Supervisor: a transient worker failure is retried once and
-// recovered; a persistent one stays a structured failure. Journal: every
-// field of a BenchmarkEvaluation round-trips exactly (hex-float doubles,
-// CDF accumulator state), corrupt lines and fingerprint mismatches are
-// tolerated, and a resume after a mid-suite kill yields non-timing
-// stats bitwise identical to an uninterrupted run at 1 and 4 threads.
+// End-to-end contracts of the soundness sentinel and of finishing a
+// killed suite run. Quarantine: k of N benchmarks with injected unsound
+// ranges are detected, demoted to the Ball–Larus fallback, and reported —
+// while the suite completes all N and the untouched N−k results stay
+// bitwise identical. Supervisor: a transient worker failure is retried
+// once and recovered; a persistent one stays a structured failure.
+// Resume: rerunning against the persistent cache a mid-suite kill left,
+// torn tail included, finishes the run with stats bitwise identical to an
+// uninterrupted run at 1 and 4 threads, and commits the remainder so the
+// rerun after that recomputes nothing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "benchsuite/Programs.h"
-#include "eval/Journal.h"
+#include "EvaluationOracle.h"
 #include "eval/Reporting.h"
 #include "eval/SuiteRunner.h"
 #include "support/FaultInjection.h"
@@ -57,19 +57,27 @@ void expectIdenticalCurves(const ErrorCdf &A, const ErrorCdf &B,
 
 void expectIdenticalEvaluations(const BenchmarkEvaluation &A,
                                 const BenchmarkEvaluation &B) {
-  // The canonical journal line covers every deterministic field —
-  // equality there IS bitwise identity of the evaluation.
-  EXPECT_EQ(journal::serializeEvaluation(A), journal::serializeEvaluation(B))
+  // The oracle covers every deterministic field — equality there IS
+  // bitwise identity of the evaluation.
+  EXPECT_EQ(oracle::serializeEvaluation(A), oracle::serializeEvaluation(B))
       << A.Name;
 }
 
-/// Non-timing stats JSON with a zeroed telemetry snapshot: everything
-/// deterministic the suite computed, nothing process-global.
-std::string statsJson(const SuiteEvaluation &Suite) {
+/// Stats JSON down to the "pcache" block, with a zeroed telemetry
+/// snapshot: everything deterministic the suite computed. The pcache
+/// counters below it legitimately differ between a fresh run and a rerun.
+std::string statsAbovePCache(const SuiteEvaluation &Suite) {
   std::ostringstream OS;
   writeSuiteStatsJson(Suite, telemetry::Snapshot{}, OS,
                       /*IncludeTimings=*/false);
-  return OS.str();
+  std::string Json = OS.str();
+  return Json.substr(0, Json.find("\"pcache\""));
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
 }
 
 std::string tempPath(const std::string &Name) {
@@ -205,117 +213,7 @@ TEST_F(QuarantineResumeTest, PersistentWorkerFaultStaysAStructuredFailure) {
 }
 
 //===----------------------------------------------------------------------===//
-// Journal round-trip
-//===----------------------------------------------------------------------===//
-
-TEST_F(QuarantineResumeTest, EvaluationSerializationRoundTripsExactly) {
-  // Successful evaluation with audit fields populated.
-  const BenchmarkProgram *P = firstPrograms(1).front();
-  BenchmarkEvaluation Eval = evaluateProgram(*P, auditOptions());
-  ASSERT_TRUE(Eval.Ok) << Eval.Error;
-
-  std::string Line = journal::serializeEvaluation(Eval);
-  BenchmarkEvaluation Back;
-  ASSERT_TRUE(journal::deserializeEvaluation(Line, Back)) << Line;
-
-  // Canonical-form identity: re-serializing the parsed value reproduces
-  // the exact line, so every field — including hex-float doubles and the
-  // raw CDF accumulator state — survived.
-  EXPECT_EQ(journal::serializeEvaluation(Back), Line);
-  EXPECT_EQ(Back.Name, Eval.Name);
-  EXPECT_EQ(Back.RefSteps, Eval.RefSteps);
-  EXPECT_EQ(Back.VRPRangeFraction, Eval.VRPRangeFraction);
-  EXPECT_EQ(Back.AuditChecks, Eval.AuditChecks);
-  ASSERT_EQ(Back.Curves.size(), Eval.Curves.size());
-  for (const auto &[Kind, Pair] : Eval.Curves) {
-    auto It = Back.Curves.find(Kind);
-    ASSERT_NE(It, Back.Curves.end());
-    expectIdenticalCurves(Pair.first, It->second.first, "unweighted");
-    expectIdenticalCurves(Pair.second, It->second.second, "weighted");
-  }
-}
-
-TEST_F(QuarantineResumeTest, FailedEvaluationRoundTripsWithFailureInfo) {
-  const BenchmarkProgram *P = firstPrograms(1).front();
-  ASSERT_TRUE(fault::configure("parse:0"));
-  VRPOptions Opts;
-  BenchmarkEvaluation Eval = evaluateProgram(*P, Opts);
-  fault::reset();
-  ASSERT_FALSE(Eval.Ok);
-  ASSERT_TRUE(Eval.Failure.has_value());
-
-  std::string Line = journal::serializeEvaluation(Eval);
-  BenchmarkEvaluation Back;
-  ASSERT_TRUE(journal::deserializeEvaluation(Line, Back)) << Line;
-  EXPECT_EQ(journal::serializeEvaluation(Back), Line);
-  EXPECT_FALSE(Back.Ok);
-  ASSERT_TRUE(Back.Failure.has_value());
-  EXPECT_EQ(Back.Failure->Category, Eval.Failure->Category);
-  EXPECT_EQ(Back.Failure->Stage, Eval.Failure->Stage);
-  EXPECT_EQ(Back.Failure->Message, Eval.Failure->Message);
-}
-
-TEST_F(QuarantineResumeTest, LoaderSkipsCorruptLinesAndTornTail) {
-  std::vector<const BenchmarkProgram *> Programs = firstPrograms(3);
-  VRPOptions Opts;
-  Opts.Interprocedural = true;
-  std::string FP = journal::fingerprint(Programs, Opts);
-  std::string Path = tempPath("corrupt.jsonl");
-
-  {
-    auto J = journal::SuiteJournal::open(Path, FP, /*Append=*/false);
-    ASSERT_NE(J, nullptr);
-    for (const BenchmarkProgram *P : Programs)
-      J->append(evaluateProgram(*P, Opts));
-  }
-  // Vandalize: insert garbage mid-file and a torn final line (a crash
-  // mid-write).
-  {
-    std::ofstream OS(Path, std::ios::app);
-    OS << "not json at all\n";
-    OS << "{\"name\": \"zz\", \"ok\": tru"; // no newline: torn write
-  }
-
-  journal::LoadResult L = journal::SuiteJournal::load(Path, FP);
-  EXPECT_TRUE(L.HeaderMatched);
-  EXPECT_EQ(L.Entries.size(), 3u);
-  EXPECT_EQ(L.CorruptLines, 2u);
-  for (const BenchmarkProgram *P : Programs)
-    EXPECT_EQ(L.Entries.count(P->Name), 1u) << P->Name;
-  std::remove(Path.c_str());
-}
-
-TEST_F(QuarantineResumeTest, FingerprintMismatchInvalidatesJournal) {
-  std::vector<const BenchmarkProgram *> Programs = firstPrograms(2);
-  VRPOptions Opts;
-  Opts.Interprocedural = true;
-  std::string Path = tempPath("fingerprint.jsonl");
-  {
-    auto J = journal::SuiteJournal::open(
-        Path, journal::fingerprint(Programs, Opts), /*Append=*/false);
-    ASSERT_NE(J, nullptr);
-    J->append(evaluateProgram(*Programs[0], Opts));
-  }
-
-  // Different analysis options -> different fingerprint -> nothing
-  // reusable; resuming against it must recompute from scratch.
-  VRPOptions Other = Opts;
-  Other.MaxSubRanges += 1;
-  journal::LoadResult L = journal::SuiteJournal::load(
-      Path, journal::fingerprint(Programs, Other));
-  EXPECT_FALSE(L.HeaderMatched);
-  EXPECT_TRUE(L.Entries.empty());
-
-  // Threads must NOT participate: results are thread-count-invariant.
-  VRPOptions Threaded = Opts;
-  Threaded.Threads = 7;
-  EXPECT_EQ(journal::fingerprint(Programs, Opts),
-            journal::fingerprint(Programs, Threaded));
-  std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Kill-and-resume
+// Finishing a killed run from the persistent cache
 //===----------------------------------------------------------------------===//
 
 TEST_F(QuarantineResumeTest, ResumeAfterMidSuiteKillIsBitwiseIdentical) {
@@ -325,81 +223,98 @@ TEST_F(QuarantineResumeTest, ResumeAfterMidSuiteKillIsBitwiseIdentical) {
   // The uninterrupted reference run.
   SuiteEvaluation Reference = evaluateSuite(Programs, Opts);
   ASSERT_TRUE(Reference.Failures.empty());
-  std::string ReferenceJson = statsJson(Reference);
+  std::string ReferenceJson = statsAbovePCache(Reference);
+
+  // The store a run killed during its fourth benchmark leaves behind: the
+  // first three benchmarks' records (each committed after its audit
+  // passed) and the first bytes of a record that never finished.
+  std::string Killed = tempPath("killed.bin");
+  std::remove(Killed.c_str());
+  {
+    SuiteRunConfig Config;
+    Config.CachePath = Killed;
+    std::vector<const BenchmarkProgram *> Prefix(Programs.begin(),
+                                                 Programs.begin() + 3);
+    ASSERT_TRUE(evaluateSuite(Prefix, Opts, Config).Failures.empty());
+  }
+  // The torn record: the 16-byte record header and first key bytes of a
+  // copy of the store's first record (docs/CACHE.md has the layout).
+  std::string Store = slurp(Killed);
+  const size_t HeaderSize = 16, TornSize = 24;
+  ASSERT_GT(Store.size(), HeaderSize + TornSize);
+  Store += Store.substr(HeaderSize, TornSize);
+  std::remove(Killed.c_str());
 
   for (unsigned Threads : {1u, 4u}) {
-    VRPOptions RunOpts = auditOptions(Threads);
-    std::string Path =
-        tempPath("resume_t" + std::to_string(Threads) + ".jsonl");
-
-    // "Crash" after three benchmarks: journal only a prefix, then add a
-    // torn line exactly as a killed writer would leave.
-    std::string FP = journal::fingerprint(Programs, RunOpts);
-    {
-      auto J = journal::SuiteJournal::open(Path, FP, /*Append=*/false);
-      ASSERT_NE(J, nullptr);
-      for (size_t I = 0; I < 3; ++I)
-        J->append(Reference.Benchmarks[I]);
-    }
-    {
-      std::ofstream OS(Path, std::ios::app);
-      OS << "{\"name\": \"" << Programs[3]->Name << "\", \"ok\": ";
-    }
+    std::string Path = tempPath("rerun_t" + std::to_string(Threads) + ".bin");
+    std::ofstream(Path, std::ios::binary | std::ios::trunc) << Store;
 
     SuiteRunConfig Config;
-    Config.JournalPath = Path;
-    Config.Resume = true;
+    Config.CachePath = Path;
     Config.SupervisorRetry = true;
-    SuiteEvaluation Resumed = evaluateSuite(Programs, RunOpts, Config);
+    SuiteEvaluation Rerun =
+        evaluateSuite(Programs, auditOptions(Threads), Config);
 
-    EXPECT_EQ(Resumed.JournalReused, 3u) << "Threads=" << Threads;
-    ASSERT_TRUE(Resumed.Failures.empty()) << "Threads=" << Threads;
-    // Merged stats are bitwise identical to the uninterrupted run —
-    // including every hex-float fraction and CDF bucket.
-    EXPECT_EQ(statsJson(Resumed), ReferenceJson) << "Threads=" << Threads;
+    ASSERT_TRUE(Rerun.Failures.empty()) << "Threads=" << Threads;
+    EXPECT_EQ(Rerun.PCache.CorruptRecords, 1u) << "Threads=" << Threads;
+    EXPECT_GT(Rerun.PCache.Hits, 0u) << "Threads=" << Threads;
+    // Bitwise identical to the uninterrupted run — every hex-float
+    // fraction, CDF bucket and per-benchmark field.
+    EXPECT_EQ(statsAbovePCache(Rerun), ReferenceJson) << "Threads=" << Threads;
     for (auto &[Kind, Cdf] : Reference.AveragedUnweighted)
-      expectIdenticalCurves(Cdf, Resumed.AveragedUnweighted.at(Kind),
+      expectIdenticalCurves(Cdf, Rerun.AveragedUnweighted.at(Kind),
                             std::string("averaged unweighted ") +
                                 predictorName(Kind));
     for (auto &[Kind, Cdf] : Reference.AveragedWeighted)
-      expectIdenticalCurves(Cdf, Resumed.AveragedWeighted.at(Kind),
+      expectIdenticalCurves(Cdf, Rerun.AveragedWeighted.at(Kind),
                             std::string("averaged weighted ") +
                                 predictorName(Kind));
+    ASSERT_EQ(Rerun.Benchmarks.size(), Reference.Benchmarks.size());
+    for (size_t I = 0; I < Reference.Benchmarks.size(); ++I)
+      expectIdenticalEvaluations(Reference.Benchmarks[I], Rerun.Benchmarks[I]);
     std::remove(Path.c_str());
   }
 }
 
 TEST_F(QuarantineResumeTest, ResumeJournalsTheRemainderForTheNextCrash) {
-  // After a resumed run completes, the journal must hold ALL benchmarks
-  // (reused prefix untouched, remainder appended): a second resume would
-  // reuse everything.
+  // A rerun that finishes a killed run commits the benchmarks it had to
+  // recompute, next to the records it reused: if it is killed in turn, the
+  // rerun after it recomputes nothing.
   std::vector<const BenchmarkProgram *> Programs = firstPrograms(4);
   VRPOptions Opts;
   Opts.Interprocedural = true;
-  std::string Path = tempPath("rejournal.jsonl");
-  std::string FP = journal::fingerprint(Programs, Opts);
+  std::string Reference = statsAbovePCache(evaluateSuite(Programs, Opts));
 
-  SuiteEvaluation Full = evaluateSuite(Programs, Opts);
-  {
-    auto J = journal::SuiteJournal::open(Path, FP, /*Append=*/false);
-    ASSERT_NE(J, nullptr);
-    J->append(Full.Benchmarks[0]);
+  for (unsigned Threads : {1u, 4u}) {
+    VRPOptions RunOpts = Opts;
+    RunOpts.Threads = Threads;
+    std::string Path =
+        tempPath("remainder_t" + std::to_string(Threads) + ".bin");
+    std::remove(Path.c_str());
+
+    // The store of a run killed after its first benchmark.
+    SuiteRunConfig Config;
+    Config.CachePath = Path;
+    {
+      std::vector<const BenchmarkProgram *> Prefix(Programs.begin(),
+                                                   Programs.begin() + 1);
+      ASSERT_TRUE(evaluateSuite(Prefix, RunOpts, Config).Failures.empty());
+    }
+
+    SuiteEvaluation First = evaluateSuite(Programs, RunOpts, Config);
+    ASSERT_TRUE(First.Failures.empty()) << "Threads=" << Threads;
+    EXPECT_GT(First.PCache.Hits, 0u) << "Threads=" << Threads;
+    EXPECT_GT(First.PCache.Misses, 0u) << "Threads=" << Threads;
+    EXPECT_GT(First.PCache.BytesWritten, 0u) << "Threads=" << Threads;
+    EXPECT_EQ(statsAbovePCache(First), Reference) << "Threads=" << Threads;
+
+    SuiteEvaluation Second = evaluateSuite(Programs, RunOpts, Config);
+    ASSERT_TRUE(Second.Failures.empty()) << "Threads=" << Threads;
+    EXPECT_EQ(Second.PCache.Misses, 0u) << "Threads=" << Threads;
+    EXPECT_EQ(Second.PCache.BytesWritten, 0u) << "Threads=" << Threads;
+    EXPECT_EQ(statsAbovePCache(Second), Reference) << "Threads=" << Threads;
+    std::remove(Path.c_str());
   }
-  SuiteRunConfig Config;
-  Config.JournalPath = Path;
-  Config.Resume = true;
-  SuiteEvaluation First = evaluateSuite(Programs, Opts, Config);
-  EXPECT_EQ(First.JournalReused, 1u);
-
-  journal::LoadResult L = journal::SuiteJournal::load(Path, FP);
-  EXPECT_TRUE(L.HeaderMatched);
-  EXPECT_EQ(L.Entries.size(), 4u);
-  EXPECT_EQ(L.CorruptLines, 0u);
-
-  SuiteEvaluation Second = evaluateSuite(Programs, Opts, Config);
-  EXPECT_EQ(Second.JournalReused, 4u);
-  EXPECT_EQ(statsJson(First), statsJson(Second));
-  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -8,8 +8,9 @@
 // the suite reports success, and the merged statistics are bitwise
 // identical to a fault-free serial run. Also covers cooperative
 // interruption: benchmarks that have not started when stop is requested
-// fail structurally with stage "interrupted" and are NOT journaled, so
-// --resume reruns them instead of replaying the interruption.
+// fail structurally with stage "interrupted" and commit nothing to the
+// persistent cache, so a rerun evaluates them instead of replaying the
+// interruption.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 
 using namespace vrp;
 
@@ -155,15 +155,15 @@ TEST_F(SupervisorRetryTest, PersistentFaultUnderFourWorkersFailsOnce) {
   }
 }
 
-TEST_F(SupervisorRetryTest, InterruptedBenchmarksAreNotJournaled) {
+TEST_F(SupervisorRetryTest, InterruptedBenchmarksCommitNothingToTheCache) {
   std::vector<const BenchmarkProgram *> Programs = firstPrograms(4);
-  const std::string Journal = ::testing::TempDir() + "retry_interrupt.jsonl";
-  std::remove(Journal.c_str());
+  const std::string Cache = ::testing::TempDir() + "retry_interrupt.bin";
+  std::remove(Cache.c_str());
 
   VRPOptions Opts;
   Opts.Interprocedural = true;
   SuiteRunConfig Config;
-  Config.JournalPath = Journal;
+  Config.CachePath = Cache;
 
   // Stop already requested when the suite starts: every slot fails
   // structurally with stage "interrupted" instead of evaluating.
@@ -175,17 +175,17 @@ TEST_F(SupervisorRetryTest, InterruptedBenchmarksAreNotJournaled) {
   ASSERT_EQ(Stopped.Failures.size(), 4u);
   for (const FailureInfo &F : Stopped.Failures)
     EXPECT_EQ(F.Stage, "interrupted") << F.str();
+  EXPECT_EQ(Stopped.PCache.BytesWritten, 0u)
+      << "interrupted slots must commit nothing to the cache";
 
-  // The interruption must not be journaled: a resumed run re-evaluates
+  // So a rerun against the same store finds nothing to reuse, evaluates
   // everything and succeeds, rather than replaying the stop.
-  Config.Resume = true;
-  SuiteEvaluation Resumed = evaluateSuite(Programs, Opts, Config);
-  EXPECT_EQ(Resumed.JournalReused, 0u)
-      << "interrupted slots must not be reused from the journal";
-  EXPECT_TRUE(Resumed.Failures.empty());
-  for (const BenchmarkEvaluation &B : Resumed.Benchmarks)
+  SuiteEvaluation Rerun = evaluateSuite(Programs, Opts, Config);
+  EXPECT_EQ(Rerun.PCache.Hits, 0u);
+  EXPECT_TRUE(Rerun.Failures.empty());
+  for (const BenchmarkEvaluation &B : Rerun.Benchmarks)
     EXPECT_TRUE(B.Ok) << B.Name << ": " << B.Error;
-  std::remove(Journal.c_str());
+  std::remove(Cache.c_str());
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "eval/Journal.h"
+#include "EvaluationOracle.h"
 #include "eval/SuiteRunner.h"
 #include "support/FaultInjection.h"
 
@@ -40,13 +40,13 @@ VRPOptions suiteOptions(unsigned Threads = 1) {
   return Opts;
 }
 
-/// Bitwise identity of two suite evaluations via the canonical journal
-/// line, which covers every deterministic field of an evaluation.
+/// Bitwise identity of two suite evaluations via the evaluation oracle,
+/// which covers every deterministic field of an evaluation.
 void expectIdentical(const SuiteEvaluation &A, const SuiteEvaluation &B) {
   ASSERT_EQ(A.Benchmarks.size(), B.Benchmarks.size());
   for (size_t I = 0; I < A.Benchmarks.size(); ++I)
-    EXPECT_EQ(journal::serializeEvaluation(A.Benchmarks[I]),
-              journal::serializeEvaluation(B.Benchmarks[I]))
+    EXPECT_EQ(oracle::serializeEvaluation(A.Benchmarks[I]),
+              oracle::serializeEvaluation(B.Benchmarks[I]))
         << A.Benchmarks[I].Name;
   for (PredictorKind Kind : allPredictors()) {
     EXPECT_EQ(A.AveragedUnweighted.at(Kind).meanError(),
@@ -118,21 +118,33 @@ TEST_F(WarmStartTest, VerifyModeFindsNoDivergenceAndMatchesCold) {
 
 TEST_F(WarmStartTest, OptionChangeMissesInsteadOfServingStaleResults) {
   std::vector<const BenchmarkProgram *> Programs = firstPrograms(3);
-  std::string Path = tempPath("options.bin");
-  SuiteRunConfig Config;
-  Config.CachePath = Path;
-  (void)evaluateSuite(Programs, suiteOptions(), Config);
 
-  // A different subrange cap computes different results; its fingerprint
-  // differs, so the stored records must not be served. (Flipping
-  // EnableSymbolicRanges would NOT do here: the suite's VRPNumeric
-  // predictor already persisted numeric-fingerprint records cold.)
+  // Each variant computes different results, so its key differs and the
+  // records a default-options run stored must not be served: the rerun
+  // misses everything and matches a fresh uncached run under the variant.
+  // (Flipping EnableSymbolicRanges would NOT do here: the suite's
+  // VRPNumeric predictor already persisted numeric-key records cold.)
   VRPOptions Capped = suiteOptions();
   Capped.MaxSubRanges += 1;
-  SuiteEvaluation Run = evaluateSuite(Programs, Capped, Config);
-  EXPECT_GT(Run.PCache.Misses, 0u);
-  EXPECT_EQ(Run.PCache.Hits, 0u);
-  std::remove(Path.c_str());
+  VRPOptions NoFP = suiteOptions();
+  NoFP.EnableFPRanges = false;
+  VRPOptions NoAlias = suiteOptions();
+  NoAlias.EnableAliasRanges = false;
+  for (const auto &[What, Variant] :
+       {std::pair{"MaxSubRanges+1", Capped}, std::pair{"fp off", NoFP},
+        std::pair{"alias off", NoAlias}}) {
+    std::string Path = tempPath("options.bin");
+    SuiteRunConfig Config;
+    Config.CachePath = Path;
+    (void)evaluateSuite(Programs, suiteOptions(), Config);
+
+    SuiteEvaluation Run = evaluateSuite(Programs, Variant, Config);
+    EXPECT_GT(Run.PCache.Misses, 0u) << What;
+    EXPECT_EQ(Run.PCache.Hits, 0u) << What;
+    SCOPED_TRACE(What);
+    expectIdentical(evaluateSuite(Programs, Variant), Run);
+    std::remove(Path.c_str());
+  }
 }
 
 TEST_F(WarmStartTest, FaultInjectedRunsBypassTheStore) {

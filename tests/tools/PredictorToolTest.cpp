@@ -204,30 +204,16 @@ TEST_F(PredictorToolTest, InjectedUnsoundRangeExitsFour) {
   EXPECT_NE(Text.find("@main in sort"), std::string::npos) << Text;
 }
 
-TEST_F(PredictorToolTest, JournalAndResumeSmoke) {
-  std::string Journal = ::testing::TempDir() + "ptool_journal.jsonl";
-  std::remove(Journal.c_str());
-  EXPECT_EQ(runTool("--suite --journal=" + Journal, Log), 0) << slurp(Log);
-  std::ifstream In(Journal);
-  ASSERT_TRUE(In.good()) << "journal file not written";
-  std::string Header;
-  std::getline(In, Header);
-  EXPECT_NE(Header.find("\"journal\":\"vrp-suite\""), std::string::npos)
-      << Header;
-  // Resuming against the complete journal recomputes nothing and still
-  // prints the full report.
-  EXPECT_EQ(
-      runTool("--suite --journal=" + Journal + " --resume", Log), 0)
-      << slurp(Log);
-  EXPECT_NE(slurp(Log).find("benchmark suite"), std::string::npos);
-  std::remove(Journal.c_str());
-}
-
 TEST_F(PredictorToolTest, JournalUsageErrorsExitTwo) {
+  // Suites have no checkpoint flags: a killed run is finished by
+  // rerunning it with the same --cache (docs/ROBUSTNESS.md).
   std::string File = writeTemp("ptool_journal_bad.vl", ValidSource);
-  EXPECT_EQ(runTool("--journal=/tmp/j.jsonl " + File, Log), 2);
-  EXPECT_EQ(runTool("--resume " + File, Log), 2);
-  EXPECT_EQ(runTool("--suite --journal=", Log), 2);
+  EXPECT_EQ(runTool("--journal=run.jsonl " + File, Log), 2);
+  EXPECT_NE(slurp(Log).find("unknown option: --journal"), std::string::npos)
+      << slurp(Log);
+  EXPECT_EQ(runTool("--suite --resume", Log), 2);
+  EXPECT_NE(slurp(Log).find("unknown option: --resume"), std::string::npos)
+      << slurp(Log);
 }
 
 TEST_F(PredictorToolTest, InjectedParseFaultExitsOne) {
