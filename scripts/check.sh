@@ -15,14 +15,15 @@ cmake --build build-tsan --target SupportTest ParallelDeterminismTest
 ctest --test-dir build-tsan --output-on-failure -R 'ThreadPool|ParallelDeterminism'
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
-# corpus, the fault-injection suite, the structured-error paths, and the
+# corpus, the fault-injection suite, the structured-error paths, the
 # soundness sentinel + torn-store rerun, where memory bugs would hide
-# behind the recovery code.
+# behind the recovery code, and incremental rebinding, where a symbolic
+# bound left pointing into the previous module would be a use after free.
 cmake -B build-asan -G Ninja -DVRP_SANITIZE=address
 cmake --build build-asan --target MalformedCorpusTest FaultToleranceTest \
-  SupportTest AuditTest QuarantineResumeTest predictor_tool
+  SupportTest AuditTest QuarantineResumeTest SccSchedulerTest predictor_tool
 ctest --test-dir build-asan --output-on-failure \
-  -R 'MalformedCorpus|FaultTolerance|Status|FaultInjection|Audit|QuarantineResume'
+  -R 'MalformedCorpus|FaultTolerance|Status|FaultInjection|Audit|QuarantineResume|SccScheduler'
 
 # Soundness audit under ASan: the full benchmark suite replayed against
 # the computed ranges must produce ZERO violations (exit 0). Any nonzero
@@ -179,6 +180,40 @@ if [ "${warm_hits:-0}" -eq 0 ] || [ "${warm_misses:-1}" -ne 0 ]; then
 fi
 build/examples/predictor_tool --suite --cache=build/pcache.bin \
   --cache-verify >/dev/null
+# Two programs that differ only in a float constant that prints alike in
+# both (0.000005): the key hashes constants by bit pattern, so the second
+# must miss a store filled by the first, and verify must find nothing
+# stale.
+float_program() { # threshold -> VL source
+  cat <<VL
+fn main() {
+  var hits = 0;
+  for (var i = 0; i < 100; i = i + 1) {
+    var x = float(i) * 0.0000001;
+    if (x < $1) {
+      hits = hits + 1;
+    }
+  }
+  return hits;
+}
+VL
+}
+float_program 0.0000051 > build/float-a.vl
+float_program 0.0000054 > build/float-b.vl
+rm -f build/float.pcache
+build/examples/predictor_tool build/float-a.vl --cache=build/float.pcache \
+  > /dev/null
+float_misses=$(build/examples/predictor_tool build/float-b.vl \
+  --cache=build/float.pcache --stats | sed -n 's/^pcache_misses //p')
+if [ "${float_misses:-0}" -ne 1 ]; then
+  echo "warm-start: float constant that prints alike must miss, got pcache_misses=$float_misses" >&2
+  exit 1
+fi
+rm -f build/float.pcache
+build/examples/predictor_tool build/float-a.vl --cache=build/float.pcache \
+  > /dev/null
+build/examples/predictor_tool build/float-b.vl --cache=build/float.pcache \
+  --cache-verify > /dev/null
 echo "warm-start: ok"
 
 # Serving smoke: the resident daemon must (1) answer byte-identically to

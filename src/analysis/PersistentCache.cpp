@@ -8,8 +8,8 @@
 
 #include "analysis/AliasAnalysis.h"
 #include "ir/Function.h"
-#include "ir/IRPrinter.h"
 #include "ir/Instruction.h"
+#include "ir/StructuralHash.h"
 #include "support/FaultInjection.h"
 #include "support/Format.h"
 #include "support/Telemetry.h"
@@ -322,16 +322,14 @@ std::unique_ptr<PersistentCache> PersistentCache::open(const std::string &Path,
 
 std::string PersistentCache::makeKey(const Function &F, const VRPOptions &Opts,
                                      const PropagationContext &Ctx) {
-  std::ostringstream IR;
-  printFunction(F, IR);
-  return fnvHex(store::fnv1a64(IR.str())) + "-" +
+  return fnvHex(structuralHash(F)) + "-" +
          fnvHex(store::fnv1a64(optionsText(Opts))) + "-" +
          fnvHex(store::fnv1a64(contextText(F, Ctx, Opts)));
 }
 
 std::string PersistentCache::serialize(const FunctionVRPResult &R) {
   std::ostringstream OS;
-  OS << "vrppc " << FormatVersion << "\n";
+  OS << "vrppc " << PayloadVersion << "\n";
   OS << "fn " << (R.F ? R.F->name() : "") << "\n";
   OS << "stats " << R.Stats.ExprEvaluations << " " << R.Stats.SubOps << " "
      << R.Stats.PhiEvaluations << " " << R.Stats.BranchEvaluations << " "
@@ -383,7 +381,7 @@ bool PersistentCache::deserialize(const std::string &Payload,
   };
 
   if (!nextLine("vrppc ") ||
-      Line != "vrppc " + std::to_string(FormatVersion))
+      Line != "vrppc " + std::to_string(PayloadVersion))
     return false;
   if (!nextLine("fn ") || Line.substr(3) != F.name())
     return false;
@@ -461,6 +459,89 @@ bool PersistentCache::deserialize(const std::string &Payload,
   }
 
   return nextLine("end");
+}
+
+bool PersistentCache::rebind(const FunctionVRPResult &Prev, const Function &F,
+                             FunctionVRPResult &Out) {
+  const Function *PF = Prev.F;
+  if (!PF || PF->numBlocks() != F.numBlocks() ||
+      PF->numParams() != F.numParams() ||
+      Prev.BlockProb.size() != F.numBlocks())
+    return false;
+  std::vector<const Instruction *> ById(F.numInstIds(), nullptr);
+  size_t NumInsts = 0;
+  for (const auto &B : F.blocks())
+    for (const auto &I : B->instructions()) {
+      ById[I->id()] = I.get();
+      ++NumInsts;
+    }
+  // \p I's counterpart in F: same id, same opcode; null when absent.
+  auto mapInst = [&](const Instruction *I) -> const Instruction * {
+    if (I->function() != PF || I->id() >= ById.size())
+      return nullptr;
+    const Instruction *N = ById[I->id()];
+    return N && N->opcode() == I->opcode() ? N : nullptr;
+  };
+  // Symbolic bounds name values of PF; numeric bounds (null) stay null.
+  auto mapSym = [&](const Value *&Sym) {
+    if (!Sym)
+      return true;
+    if (const auto *I = dyn_cast<Instruction>(Sym))
+      Sym = mapInst(I);
+    else if (const auto *P = dyn_cast<Param>(Sym))
+      Sym = P->parent() == PF ? F.param(P->index()) : nullptr;
+    return Sym != nullptr;
+  };
+
+  Out = FunctionVRPResult();
+  Out.F = &F;
+  Out.Stats = Prev.Stats;
+  Out.BlockProb = Prev.BlockProb;
+  Out.Degraded = Prev.Degraded;
+  Out.DegradeCause = Prev.DegradeCause;
+  Out.Ranges.reserve(Prev.Ranges.size());
+  size_t Bound = 0;
+  auto bind = [&](const Value *Old, const Value *New) {
+    auto It = Prev.Ranges.find(Old);
+    if (It == Prev.Ranges.end())
+      return true;
+    ++Bound;
+    const ValueRange &VR = It->second;
+    if (!VR.hasSymbolicBounds()) {
+      Out.Ranges.emplace(New, VR);
+      return true;
+    }
+    std::vector<SubRange> Subs = VR.subRanges();
+    for (SubRange &S : Subs)
+      if (!mapSym(S.Lo.Sym) || !mapSym(S.Hi.Sym))
+        return false;
+    Out.Ranges.emplace(New, ValueRange::restored(VR.kind(), VR.floatValue(),
+                                                 VR.distributionKnown(),
+                                                 std::move(Subs)));
+    return true;
+  };
+  for (unsigned I = 0; I < F.numParams(); ++I)
+    if (!bind(PF->param(I), F.param(I)))
+      return false;
+  size_t Walked = 0;
+  for (const auto &B : PF->blocks())
+    for (const auto &I : B->instructions()) {
+      const Instruction *N = mapInst(I.get());
+      if (!N || !bind(I.get(), N))
+        return false;
+      ++Walked;
+    }
+  // Every range key must be a value of PF, and F must have nothing more.
+  if (Bound != Prev.Ranges.size() || Walked != NumInsts)
+    return false;
+
+  for (const auto &[Br, Pred] : Prev.Branches) {
+    const Instruction *N = mapInst(Br);
+    if (!N)
+      return false;
+    Out.Branches.emplace(cast<CondBrInst>(N), Pred);
+  }
+  return true;
 }
 
 bool PersistentCache::lookup(const std::string &Key, const Function &F,

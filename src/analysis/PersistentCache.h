@@ -14,8 +14,9 @@
 /// Content addressing makes staleness structurally impossible: the key is
 /// a pure function of everything the propagation result depends on —
 ///
-///   1. the function's canonical IR text (ir/IRPrinter.h's printFunction,
-///      which renders every instruction, block and predecessor edge);
+///   1. the function's structural hash (ir/StructuralHash.h: one walk
+///      over every instruction, block and predecessor edge, constants by
+///      bit pattern);
 ///   2. every result-affecting VRPOptions field;
 ///   3. the function's interprocedural context, i.e. the RESOLVED
 ///      parameter range of each formal and the RESOLVED return range of
@@ -65,9 +66,17 @@ namespace vrp {
 
 class PersistentCache {
 public:
-  /// Payload-encoding version, stored in the ResultStore header; bump on
-  /// any change to serialize()'s output or the key recipe.
-  static constexpr uint32_t FormatVersion = 2;
+  /// Store version, kept in the ResultStore header; bump on any change to
+  /// serialize()'s output or the key recipe. A store written under
+  /// another version is reset on open (its records count as evictions).
+  /// Version 3 keys functions by structural hash instead of IR text.
+  static constexpr uint32_t FormatVersion = 3;
+
+  /// serialize()'s own encoding version, the first line of every payload;
+  /// bump on any change to serialize()'s output (and bump FormatVersion
+  /// with it). Unchanged by a key-recipe change, so result fingerprints
+  /// over serialize() stay comparable across one.
+  static constexpr uint32_t PayloadVersion = 2;
 
   /// Opens (creating if absent) the cache file at \p Path. With \p Verify
   /// set, a hit does not skip analysis: the function is re-analyzed and
@@ -99,6 +108,20 @@ public:
   /// treats that as a miss.
   static bool deserialize(const std::string &Payload, const Function &F,
                           FunctionVRPResult &Out);
+
+  /// The in-memory twin of deserialize(): rebinds \p Prev, a result for
+  /// a structurally identical function (equal structural hashes), onto
+  /// \p F by ordinal — instruction id to instruction, parameter index to
+  /// parameter — with no bytes written or read. Numeric range handles
+  /// are copied as they are; only symbolic slices are interned again,
+  /// with their symbols remapped, walking \p Prev's function in ordinal
+  /// order so the arena sees the same sequence on every run. Makes the
+  /// same structural checks as deserialize() (same block count, every id
+  /// present with the same opcode, branches are CondBrInsts) and returns
+  /// false on any mismatch, leaving \p Out unspecified. \p Prev's
+  /// function must still be alive.
+  static bool rebind(const FunctionVRPResult &Prev, const Function &F,
+                     FunctionVRPResult &Out);
 
   /// Snapshot lookup. On a hit restores into \p Out and, when \p
   /// RawPayload is non-null, also hands back the stored bytes (for the

@@ -30,7 +30,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/PersistentCache.h"
 #include "interproc/FunctionCloning.h"
-#include "ir/IRPrinter.h"
+#include "ir/StructuralHash.h"
 #include "support/FaultInjection.h"
 #include "support/ResultStore.h"
 #include "support/Telemetry.h"
@@ -43,7 +43,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
 
 using namespace vrp;
 
@@ -111,12 +110,6 @@ ValueRange computeParamRange(const Function *F, unsigned PI,
   if (Merged.isTop())
     Merged = ValueRange::bottom();
   return Merged;
-}
-
-std::string irText(const Function &F) {
-  std::ostringstream OS;
-  printFunction(F, OS);
-  return OS.str();
 }
 
 /// Interprocedural driver state: the wave schedule, the parameter and
@@ -687,8 +680,8 @@ InterprocDriver::runIncremental(const Module &PrevModule,
                         ? std::make_unique<StoreCensus>(PrevModule)
                         : nullptr;
   auto fingerprint = [](const Function &F, const StoreCensus *C) {
-    return store::fnv1a64(irText(F) + (C ? AliasInfo::environmentText(F, *C)
-                                         : std::string()));
+    uint64_t H = structuralHash(F);
+    return C ? store::fnv1a64(AliasInfo::environmentText(F, *C), H) : H;
   };
   std::map<std::string, const Function *> PrevByName;
   std::map<std::string, uint64_t> PrevHashByName;
@@ -697,14 +690,13 @@ InterprocDriver::runIncremental(const Module &PrevModule,
     PrevHashByName.emplace(PF->name(), fingerprint(*PF, PrevCensus.get()));
   }
 
-  // Changed-function detection by FNV-1a content hash of the canonical
-  // IR text (the same fingerprint family PersistentCache keys on): each
-  // side is rendered and hashed exactly once, and unchanged functions
-  // are matched hash-to-hash with no per-function text diff. A function
-  // whose hash is unchanged starts from its previous result, rebound to
-  // this module's pointers through the pointer-free serialization — a
-  // bitwise reuse (SccSchedulerTest asserts cold-vs-incremental
-  // identity).
+  // Changed-function detection by structural hash (ir/StructuralHash.h,
+  // the identity PersistentCache keys on): each side is walked and hashed
+  // exactly once, and unchanged functions are matched hash-to-hash. A
+  // function whose hash is unchanged starts from its previous result,
+  // rebound to this module's values by ordinal with no bytes written or
+  // read — a bitwise reuse (SccSchedulerTest asserts cold-vs-incremental
+  // identity). A result the rebind refuses is simply re-analyzed.
   unsigned Reused = 0;
   for (unsigned I = 0; I < Fns.size(); ++I) {
     const Function *F = Fns[I];
@@ -715,8 +707,7 @@ InterprocDriver::runIncremental(const Module &PrevModule,
     if (PR && !PR->Degraded &&
         fingerprint(*F, Census.get()) == PrevHashByName[F->name()]) {
       FunctionVRPResult Rebound;
-      if (PersistentCache::deserialize(PersistentCache::serialize(*PR), *F,
-                                       Rebound)) {
+      if (PersistentCache::rebind(*PR, *F, Rebound)) {
         Results[I] = std::move(Rebound);
         HasResult[I] = 1;
         Changed = false;

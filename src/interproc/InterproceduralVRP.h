@@ -95,9 +95,11 @@ ModuleVRPResult runModuleVRP(const Module &M, const VRPOptions &Opts,
 
 /// Incremental re-analysis: analyzes \p M reusing \p Previous, the result
 /// of analyzing \p PrevModule (an earlier compile of the same program).
-/// Functions are matched by name; a function whose canonical IR text is
+/// Functions are matched by name; a function whose structural hash is
 /// unchanged starts from its previous result (rebound to the new module
-/// through the PersistentCache serialization, so the reuse is bitwise).
+/// by ordinal through PersistentCache::rebind, so the reuse is bitwise).
+/// \p PrevModule must stay alive for the call; the result refers only to
+/// \p M.
 /// The changed functions seed the dirty set and the scheduler re-analyzes
 /// exactly the invalidated cone: callers re-run only when a callee's
 /// return range actually changed, callees only when the merged jump

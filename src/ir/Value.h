@@ -9,7 +9,10 @@
 /// an operand: constants, function parameters, and instruction results.
 /// Def-use edges ("SSA edges" in the paper) are maintained automatically by
 /// Instruction::setOperand and drive the SSA worklist of the propagation
-/// engine.
+/// engine. Only parameters and instruction results record their uses:
+/// constants are interned process-wide and carry no use list (nothing
+/// reads a constant's uses, and one shared list would grow with every
+/// module alive in the process).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +50,10 @@ public:
   Kind kind() const { return TheKind; }
   IRType type() const { return Type; }
 
+  /// The recorded uses. Always empty for a Constant.
   const std::vector<Use> &uses() const { return Uses; }
   bool hasUses() const { return !Uses.empty(); }
   unsigned numUses() const { return Uses.size(); }
-
-  /// Whether (\p User, \p Index) appears in the use list. Unlike iterating
-  /// uses() directly, this is safe to call on interned Constants while
-  /// other threads build or destroy modules: constants are shared
-  /// process-wide, so their use lists are guarded by a lock (Value.cpp).
-  bool hasUse(const Instruction *User, unsigned Index) const;
 
   /// A short printable name, e.g. "%t12", "7", "arg n". Computed by
   /// subclasses.
@@ -63,9 +61,12 @@ public:
 
 private:
   friend class Instruction;
-  // Out of line: use-list edits on interned Constants take a process-wide
-  // lock so modules can be built and destroyed concurrently.
-  void addUse(Instruction *User, unsigned Index);
+  // Both skip Constants, so use-list edits never touch process-wide state
+  // and modules can be built and destroyed concurrently without a lock.
+  void addUse(Instruction *User, unsigned Index) {
+    if (TheKind != Kind::Constant)
+      Uses.push_back({User, Index});
+  }
   void removeUse(Instruction *User, unsigned Index);
 
   const Kind TheKind;

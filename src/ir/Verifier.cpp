@@ -112,9 +112,19 @@ void VerifierImpl::checkEdgeSymmetry() {
 void VerifierImpl::checkInstruction(const Instruction &I) {
   for (unsigned Idx = 0; Idx < I.numOperands(); ++Idx) {
     Value *Op = I.operand(Idx);
-    // Operand use lists must contain this use. hasUse (not uses()) so the
-    // check is safe on shared Constants during parallel evaluation.
-    if (!Op->hasUse(&I, Idx))
+    // Instruction and param operands must record this use. Constants are
+    // shared process-wide and record none (ir/Value.h).
+    const std::vector<Use> &Uses = Op->uses();
+    if (isa<Constant>(Op)) {
+      if (!Uses.empty())
+        problem("constant operand " + std::to_string(Idx) + " of " +
+                I.displayName() + " has a use list");
+      continue;
+    }
+    bool Found = std::any_of(Uses.begin(), Uses.end(), [&](const Use &U) {
+      return U.User == &I && U.OperandIndex == Idx;
+    });
+    if (!Found)
       problem("operand " + std::to_string(Idx) + " of " + I.displayName() +
               " missing from use list");
   }

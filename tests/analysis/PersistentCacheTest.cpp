@@ -169,6 +169,36 @@ TEST(PersistentCacheTest, DifferentFunctionBodiesGetDifferentKeys) {
             PersistentCache::makeKey(*FB, VRPOptions(), Ctx));
 }
 
+// Two float constants that agree to six decimals print alike
+// (`0.000005`), so a key over printed IR text collided and served one
+// program's branch probability (51.5%) to the other (54.5%). The key
+// hashes constants by bit pattern.
+TEST(PersistentCacheTest, FloatConstantsThatPrintAlikeGetDifferentKeys) {
+  auto source = [](const char *Threshold) {
+    return std::string(R"(
+fn main() {
+  var hits = 0;
+  for (var i = 0; i < 100; i = i + 1) {
+    var x = float(i) * 0.0000001;
+    if (x < )") + Threshold + R"() {
+      hits = hits + 1;
+    }
+  }
+  return hits;
+}
+)";
+  };
+  auto A = compile(source("0.0000051"));
+  auto B = compile(source("0.0000054"));
+  const Function *FA = findFn(*A->IR, "main");
+  const Function *FB = findFn(*B->IR, "main");
+  ASSERT_NE(FA, nullptr);
+  ASSERT_NE(FB, nullptr);
+  PropagationContext Ctx;
+  EXPECT_NE(PersistentCache::makeKey(*FA, VRPOptions(), Ctx),
+            PersistentCache::makeKey(*FB, VRPOptions(), Ctx));
+}
+
 TEST(PersistentCacheTest, HitRestoresAfterCommitAndReopen) {
   std::string Path = tempPath("hit.bin");
   auto Program = compile(LoopSource);

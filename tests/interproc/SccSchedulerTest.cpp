@@ -4,12 +4,13 @@
 //
 // The interprocedural SCC-wave scheduler: bitwise determinism across
 // thread counts, incremental re-analysis of exactly the invalidated cone,
-// dead-call-site jump-function hygiene, and the wave-boundary fault clock
-// for deadline degradation.
+// positional rebinding of unchanged results, dead-call-site jump-function
+// hygiene, and the wave-boundary fault clock for deadline degradation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PersistentCache.h"
+#include "benchsuite/Programs.h"
 #include "benchsuite/Synthetic.h"
 #include "driver/Pipeline.h"
 #include "ir/IRPrinter.h"
@@ -332,11 +333,11 @@ TEST(SccSchedulerTest, IncrementalMatchesColdRunOnSyntheticModule) {
 }
 
 TEST(SccSchedulerTest, ContentHashShortCircuitPreservesBitwiseIdentity) {
-  // The incremental path keys changed-function detection on an FNV-1a
-  // content hash of each function's IR text instead of a per-function
-  // text diff. The hash must draw exactly the same changed/unchanged
-  // line the text comparison drew — reuse counts and bitwise
-  // cold-vs-incremental identity both still hold.
+  // The incremental path keys changed-function detection on each
+  // function's structural hash instead of a per-function text diff. The
+  // hash must draw exactly the same changed/unchanged line a text
+  // comparison draws — reuse counts and bitwise cold-vs-incremental
+  // identity both still hold.
   SyntheticModuleConfig Base;
   Base.NumFunctions = 60;
   Base.Seed = 23;
@@ -424,6 +425,130 @@ TEST(SccSchedulerTest, IncrementalReanalyzesLoaderWhenAnotherFunctionStores) {
   ASSERT_EQ(NextBranches.size(), 1u);
   EXPECT_TRUE(PrevBranches.begin()->second.FromRanges);
   EXPECT_FALSE(NextBranches.begin()->second.FromRanges);
+}
+
+// Two float constants that agree to six decimals print alike
+// (`0.000005`). A fingerprint over printed IR text matched them and
+// reused the old @main result (51.5% instead of 54.5%); the structural
+// hash compares constants by bit pattern.
+TEST(SccSchedulerTest, IncrementalReanalyzesFloatConstantThatPrintsAlike) {
+  auto source = [](const char *Threshold) {
+    return std::string(R"(
+      fn main() {
+        var hits = 0;
+        for (var i = 0; i < 100; i = i + 1) {
+          var x = float(i) * 0.0000001;
+          if (x < )") + Threshold + R"() {
+            hits = hits + 1;
+          }
+        }
+        return hits;
+      }
+    )";
+  };
+  auto Prev = compile(source("0.0000051"));
+  auto Next = compile(source("0.0000054"));
+  ModuleVRPResult RPrev = runModuleVRP(*Prev->IR, interprocOpts());
+  ModuleVRPResult RInc = runModuleVRPIncremental(*Next->IR, interprocOpts(),
+                                                 *Prev->IR, RPrev);
+  ModuleVRPResult RCold = runModuleVRP(*Next->IR, interprocOpts());
+
+  EXPECT_EQ(namesOf(RInc.Reanalyzed), (std::set<std::string>{"main"}));
+  EXPECT_EQ(fingerprint(*Next->IR, RInc), fingerprint(*Next->IR, RCold));
+}
+
+// Rebinding copies numeric range handles as they are and re-interns
+// symbolic slices with their symbols remapped. In qsort, main and
+// quicksort carry symbolic bounds; editing swap's return value leaves
+// main outside the cone, so main's symbolic ranges are rebound. Every
+// rebound symbol must name a value of the new module; after the previous
+// module is destroyed, the rebound results must still serialize exactly
+// as a cold run's (the ASan stage of scripts/check.sh catches a symbol
+// left pointing into the destroyed module).
+TEST(SccSchedulerTest, RebindRemapsSymbolicBoundsOntoTheNewModule) {
+  const BenchmarkProgram *Qsort = findProgram("qsort");
+  ASSERT_NE(Qsort, nullptr);
+  std::string NextSource = Qsort->Source;
+  const std::string SwapReturn = "  return 0;\n}\nfn quicksort";
+  size_t At = NextSource.find(SwapReturn);
+  ASSERT_NE(At, std::string::npos);
+  NextSource.replace(At, SwapReturn.size(), "  return 1;\n}\nfn quicksort");
+
+  auto Prev = compile(Qsort->Source);
+  auto Next = compile(NextSource);
+  auto RPrev = std::make_unique<ModuleVRPResult>(
+      runModuleVRP(*Prev->IR, interprocOpts()));
+  ModuleVRPResult RInc = runModuleVRPIncremental(*Next->IR, interprocOpts(),
+                                                 *Prev->IR, *RPrev);
+  std::set<std::string> Cone = namesOf(RInc.Reanalyzed);
+  EXPECT_TRUE(Cone.count("swap"));
+  EXPECT_FALSE(Cone.count("main"));
+
+  unsigned SymbolicRebound = 0;
+  for (const auto &F : Next->IR->functions()) {
+    if (Cone.count(F->name()))
+      continue;
+    std::set<const Value *> Own;
+    for (unsigned I = 0; I < F->numParams(); ++I)
+      Own.insert(F->param(I));
+    for (const auto &B : F->blocks())
+      for (const auto &I : B->instructions())
+        Own.insert(I.get());
+    const FunctionVRPResult *FR = RInc.forFunction(F.get());
+    ASSERT_NE(FR, nullptr) << F->name();
+    for (const auto &[V, VR] : FR->Ranges) {
+      ASSERT_TRUE(Own.count(V)) << F->name();
+      if (!VR.hasSymbolicBounds())
+        continue;
+      ++SymbolicRebound;
+      for (const SubRange &S : VR.subRanges()) {
+        ASSERT_TRUE(!S.Lo.Sym || Own.count(S.Lo.Sym)) << F->name();
+        ASSERT_TRUE(!S.Hi.Sym || Own.count(S.Hi.Sym)) << F->name();
+      }
+    }
+  }
+  EXPECT_GT(SymbolicRebound, 0u);
+
+  RPrev.reset();
+  Prev.reset();
+  ModuleVRPResult RCold = runModuleVRP(*Next->IR, interprocOpts());
+  for (const auto &F : Next->IR->functions())
+    EXPECT_EQ(PersistentCache::serialize(*RInc.forFunction(F.get())),
+              PersistentCache::serialize(*RCold.forFunction(F.get())))
+        << F->name();
+}
+
+// A previous result offered for a structurally different function is
+// refused, and the function is re-analyzed. f's previous result here was
+// computed for `x - 1` while both modules' f compute `x + 1`: equal
+// fingerprints lead the driver to try the rebind, and only the opcode
+// check tells the functions apart.
+TEST(SccSchedulerTest, RebindRefusesAStructurallyDifferentFunction) {
+  auto source = [](const char *Op) {
+    return std::string("fn f(x) { if (x ") + Op +
+           " 1 > 5) { return 1; } return 0; }\n"
+           "fn main() { return f(5); }\n";
+  };
+  auto Prev = compile(source("+"));
+  auto Other = compile(source("-"));
+  auto Next = compile(source("+"));
+  const Function *PrevF = Prev->IR->findFunction("f");
+  const Function *OtherF = Other->IR->findFunction("f");
+  const Function *NextF = Next->IR->findFunction("f");
+
+  ModuleVRPResult RPrev = runModuleVRP(*Prev->IR, interprocOpts());
+  ModuleVRPResult ROther = runModuleVRP(*Other->IR, interprocOpts());
+  FunctionVRPResult Out;
+  EXPECT_TRUE(PersistentCache::rebind(*RPrev.forFunction(PrevF), *NextF, Out));
+  EXPECT_FALSE(
+      PersistentCache::rebind(*ROther.forFunction(OtherF), *NextF, Out));
+
+  RPrev.PerFunction[PrevF] = *ROther.forFunction(OtherF);
+  ModuleVRPResult RInc = runModuleVRPIncremental(*Next->IR, interprocOpts(),
+                                                 *Prev->IR, RPrev);
+  ModuleVRPResult RCold = runModuleVRP(*Next->IR, interprocOpts());
+  EXPECT_TRUE(namesOf(RInc.Reanalyzed).count("f"));
+  EXPECT_EQ(fingerprint(*Next->IR, RInc), fingerprint(*Next->IR, RCold));
 }
 
 // The store census walks the whole module, so the driver builds it once

@@ -99,6 +99,70 @@ TEST_F(IRTest, RemoveOperandShiftsIndices) {
   EXPECT_FALSE(X->hasUses());
 }
 
+// Constants are interned process-wide and record no uses: two live
+// modules sharing one leave its list empty, and the edits that used to
+// update it (RAUW onto a constant, dropping a constant φ operand, erasing
+// a user of one) still work and verify.
+TEST_F(IRTest, ConstantsCarryNoUses) {
+  Constant *Zero = Constant::getInt(0);
+  Constant *Half = Constant::getFloat(0.5);
+
+  Module Other;
+  Function *G = Other.makeFunction("g", IRType::Int);
+  BasicBlock *GEntry = G->makeBlock("entry");
+  Param *GX = G->addParam(IRType::Float, "x");
+  auto *GAdd = GEntry->append(
+      std::make_unique<BinaryInst>(Opcode::Add, IRType::Float, GX, Half));
+  GEntry->append(std::make_unique<CmpInst>(CmpPred::LT, GAdd, Half));
+  createRet(GEntry, Zero);
+
+  BasicBlock *Left = F->makeBlock("left");
+  BasicBlock *Right = F->makeBlock("right");
+  BasicBlock *Join = F->makeBlock("join");
+  auto *Sum = emit<BinaryInst>(Opcode::Add, IRType::Int, X, Zero);
+  auto *Prod = emit<BinaryInst>(Opcode::Mul, IRType::Int, Sum, Y);
+  auto *Dead = emit<BinaryInst>(Opcode::Sub, IRType::Int, Y, Zero);
+  emit<BinaryInst>(Opcode::Max, IRType::Float, Half, Half);
+  createCondBr(Entry, emit<CmpInst>(CmpPred::LT, Sum, Zero), Left, Right);
+  createBr(Left, Join);
+  createBr(Right, Join);
+  auto *Phi = Join->insertPhi(std::make_unique<PhiInst>(IRType::Int));
+  Phi->addIncoming(Zero, Left);
+  Phi->addIncoming(Prod, Right);
+  createRet(Join, Phi);
+
+  EXPECT_TRUE(Zero->uses().empty());
+  EXPECT_TRUE(Half->uses().empty());
+  EXPECT_EQ(X->numUses(), 1u);
+  std::vector<std::string> Problems;
+  EXPECT_TRUE(verifyModule(M, Problems, /*ExpectPhis=*/true));
+  EXPECT_TRUE(verifyModule(Other, Problems, /*ExpectPhis=*/true));
+
+  // RAUW onto a constant.
+  Prod->replaceAllUsesWith(Zero);
+  EXPECT_FALSE(Prod->hasUses());
+  EXPECT_EQ(Phi->incomingValue(1), Zero);
+  Prod->eraseFromParent();
+  EXPECT_EQ(Sum->numUses(), 1u); // Only the compare is left.
+
+  // Drop the left edge and the φ's constant operand with it.
+  Left->terminator()->eraseFromParent();
+  createRet(Left, Zero);
+  Phi->removeIncoming(0);
+  ASSERT_EQ(Phi->numIncoming(), 1u);
+  EXPECT_EQ(Phi->incomingBlock(0), Right);
+
+  // Erase a user of a constant.
+  Dead->eraseFromParent();
+  EXPECT_FALSE(Y->hasUses());
+
+  EXPECT_TRUE(Zero->uses().empty());
+  EXPECT_TRUE(Half->uses().empty());
+  EXPECT_TRUE(verifyModule(M, Problems, /*ExpectPhis=*/true));
+  EXPECT_TRUE(verifyModule(Other, Problems, /*ExpectPhis=*/true));
+  EXPECT_TRUE(Problems.empty()) << Problems.front();
+}
+
 TEST_F(IRTest, EraseFromParentDropsOperandUses) {
   auto *Add = emit<BinaryInst>(Opcode::Add, IRType::Int, X, Y);
   EXPECT_EQ(F->entry()->instructions().size(), 1u);

@@ -216,6 +216,45 @@ TEST_F(PredictorToolTest, JournalUsageErrorsExitTwo) {
       << slurp(Log);
 }
 
+// Two programs that differ only in a float constant that prints alike
+// in both (`0.000005`). The cache key hashes constants by bit pattern,
+// so b misses against a store filled by a and reports its own cold
+// result (54.5%), not a's (51.5%).
+TEST_F(PredictorToolTest, FloatConstantThatPrintsAlikeMissesTheCache) {
+  auto source = [](const char *Threshold) {
+    return std::string(R"(
+fn main() {
+  var hits = 0;
+  for (var i = 0; i < 100; i = i + 1) {
+    var x = float(i) * 0.0000001;
+    if (x < )") + Threshold + R"() {
+      hits = hits + 1;
+    }
+  }
+  return hits;
+}
+)";
+  };
+  std::string A = writeTemp("ptool_float_a.vl", source("0.0000051"));
+  std::string B = writeTemp("ptool_float_b.vl", source("0.0000054"));
+  std::string Store = ::testing::TempDir() + "ptool_float.pcache";
+  std::remove(Store.c_str());
+  std::string ColdLog = Log + ".cold";
+  ASSERT_EQ(runTool(B, ColdLog), 0) << slurp(ColdLog);
+  std::string Cold = slurp(ColdLog);
+  ASSERT_NE(Cold.find("54.5%"), std::string::npos) << Cold;
+
+  ASSERT_EQ(runTool(A + " --cache=" + Store, Log), 0) << slurp(Log);
+  ASSERT_EQ(runTool(B + " --cache=" + Store + " --stats", Log), 0)
+      << slurp(Log);
+  std::string Warm = slurp(Log);
+  EXPECT_EQ(Warm.substr(0, Cold.size()), Cold);
+  EXPECT_NE(Warm.find("pcache_hits 0\n"), std::string::npos) << Warm;
+  EXPECT_NE(Warm.find("pcache_misses 1\n"), std::string::npos) << Warm;
+  std::remove(Store.c_str());
+  std::remove(ColdLog.c_str());
+}
+
 TEST_F(PredictorToolTest, InjectedParseFaultExitsOne) {
   std::string File = writeTemp("ptool_inject.vl", ValidSource);
   std::string Cmd = "VRP_FAULT_INJECT=parse:0 " + std::string(
