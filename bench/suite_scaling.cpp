@@ -9,13 +9,22 @@
 // change results). Emits BENCH_suite_scaling.json so future PRs have a
 // perf trajectory to defend.
 //
+// A growth phase then repeats serial suite passes in this one process and
+// gates on memory: resident set size after 5 passes and after 300 must
+// agree within 10%. A process keeps memory in proportion to the results
+// it holds, not to its history; a range arena that outlives its analysis
+// fails this gate.
+//
 //===----------------------------------------------------------------------===//
 
 #include "eval/SuiteRunner.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -55,6 +64,15 @@ bool curvesIdentical(const SuiteEvaluation &A, const SuiteEvaluation &B) {
         return false;
   }
   return true;
+}
+
+/// Current resident set size of this process, in MB.
+double residentMb() {
+  std::ifstream Statm("/proc/self/statm");
+  uint64_t Size = 0, Resident = 0;
+  Statm >> Size >> Resident;
+  return static_cast<double>(Resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
 }
 
 struct Run {
@@ -129,6 +147,31 @@ int main() {
               << " core(s); speedups above are what the hardware allows, "
                  "not what the engine caps at\n";
 
+  // Growth: serial passes in this process; RSS after the warm-up passes
+  // is the baseline the last pass must stay within 10% of.
+  constexpr unsigned BaselinePasses = 5;
+  constexpr unsigned GrowthPasses = 300;
+  VRPOptions GrowthOpts;
+  GrowthOpts.Interprocedural = true;
+  GrowthOpts.Threads = 1;
+  double BaselineMb = 0.0;
+  auto GrowthStart = std::chrono::steady_clock::now();
+  for (unsigned Pass = 1; Pass <= GrowthPasses; ++Pass) {
+    (void)evaluateSuite(Programs, GrowthOpts);
+    if (Pass == BaselinePasses)
+      BaselineMb = residentMb();
+  }
+  double GrowthSeconds =
+      wallSeconds(GrowthStart, std::chrono::steady_clock::now());
+  double FinalMb = residentMb();
+  double GrowthRatio = FinalMb / BaselineMb;
+  bool GrowthOk = std::abs(GrowthRatio - 1.0) <= 0.10;
+  std::cout << "\nmemory growth: RSS " << formatDouble(BaselineMb, 1)
+            << " MB after " << BaselinePasses << " passes, "
+            << formatDouble(FinalMb, 1) << " MB after " << GrowthPasses
+            << " (ratio " << formatDouble(GrowthRatio, 3) << ", "
+            << (GrowthOk ? "within 10%" : "GREW beyond 10% (BUG)") << ")\n";
+
   std::ofstream Json("BENCH_suite_scaling.json");
   Json << "{\n"
        << "  \"bench\": \"suite_scaling\",\n"
@@ -150,7 +193,15 @@ int main() {
          << ", \"curves_identical\": " << (R.Identical ? "true" : "false")
          << "}" << (I + 1 < Runs.size() ? "," : "") << "\n";
   }
-  Json << "  ]\n}\n";
+  Json << "  ],\n"
+       << "  \"growth\": {\"passes\": " << GrowthPasses
+       << ", \"rss_mb_after_" << BaselinePasses
+       << "\": " << formatDouble(BaselineMb, 2)
+       << ", \"rss_mb_after_last\": " << formatDouble(FinalMb, 2)
+       << ", \"ratio\": " << formatDouble(GrowthRatio, 4)
+       << ", \"seconds\": " << formatDouble(GrowthSeconds, 3)
+       << ", \"within_10pct\": " << (GrowthOk ? "true" : "false") << "}\n"
+       << "}\n";
   std::cout << "\nwrote BENCH_suite_scaling.json\n";
-  return AllIdentical ? 0 : 1;
+  return AllIdentical && GrowthOk ? 0 : 1;
 }

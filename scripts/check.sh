@@ -5,25 +5,35 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
+# Every bench exits nonzero on its own failed gate. suite_scaling's
+# growth phase is the memory gate: RSS after 300 suite passes in one
+# process must stay within 10% of RSS after 5.
 for b in build/bench/*; do "$b"; done
 
 # Parallel-engine checks under ThreadSanitizer: a separate build dir so
 # instrumented objects never mix with the main build. Covers the worker
-# pool itself and the Threads=1-vs-Threads=4 determinism contract.
+# pool itself, the Threads=1-vs-Threads=4 determinism contract, and the
+# SCC scheduler at 4 threads, whose pool tasks intern into the analysis's
+# shared range arena.
 cmake -B build-tsan -G Ninja -DVRP_SANITIZE=thread
-cmake --build build-tsan --target SupportTest ParallelDeterminismTest
-ctest --test-dir build-tsan --output-on-failure -R 'ThreadPool|ParallelDeterminism'
+cmake --build build-tsan --target SupportTest ParallelDeterminismTest \
+  SccSchedulerTest
+ctest --test-dir build-tsan --output-on-failure \
+  -R 'ThreadPool|ParallelDeterminism|SccScheduler'
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
 # corpus, the fault-injection suite, the structured-error paths, the
 # soundness sentinel + torn-store rerun, where memory bugs would hide
-# behind the recovery code, and incremental rebinding, where a symbolic
-# bound left pointing into the previous module would be a use after free.
+# behind the recovery code, incremental rebinding, where a symbolic
+# bound left pointing into the previous module would be a use after free,
+# and the per-analysis range arenas, where a handle outliving its arena
+# would read freed storage.
 cmake -B build-asan -G Ninja -DVRP_SANITIZE=address
 cmake --build build-asan --target MalformedCorpusTest FaultToleranceTest \
-  SupportTest AuditTest QuarantineResumeTest SccSchedulerTest predictor_tool
+  SupportTest AuditTest QuarantineResumeTest SccSchedulerTest \
+  RangeArenaTest predictor_tool
 ctest --test-dir build-asan --output-on-failure \
-  -R 'MalformedCorpus|FaultTolerance|Status|FaultInjection|Audit|QuarantineResume|SccScheduler'
+  -R 'MalformedCorpus|FaultTolerance|Status|FaultInjection|Audit|QuarantineResume|SccScheduler|RangeArena'
 
 # Soundness audit under ASan: the full benchmark suite replayed against
 # the computed ranges must produce ZERO violations (exit 0). Any nonzero

@@ -386,8 +386,12 @@ bool PersistentCache::deserialize(const std::string &Payload,
   if (!nextLine("fn ") || Line.substr(3) != F.name())
     return false;
 
+  // Inside an analysis the restored ranges join its arena; a standalone
+  // restore gets an arena of its own.
   Out = FunctionVRPResult();
   Out.F = &F;
+  Out.Arena = RangeArena::joinOrCreate();
+  RangeArena::Scope ArenaScope(Out.Arena);
 
   if (!nextLine("stats "))
     return false;
@@ -493,8 +497,12 @@ bool PersistentCache::rebind(const FunctionVRPResult &Prev, const Function &F,
     return Sym != nullptr;
   };
 
+  // Numeric handles are copied as they are, so the rebound result shares
+  // Prev's arena, and so do the symbolic slices interned again below.
   Out = FunctionVRPResult();
   Out.F = &F;
+  Out.Arena = Prev.Arena;
+  RangeArena::Scope ArenaScope(Out.Arena);
   Out.Stats = Prev.Stats;
   Out.BlockProb = Prev.BlockProb;
   Out.Degraded = Prev.Degraded;

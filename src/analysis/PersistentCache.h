@@ -105,7 +105,9 @@ public:
 
   /// Rebuilds a result for \p F from serialize() output. Returns false
   /// (leaving \p Out unspecified) on any structural mismatch — the caller
-  /// treats that as a miss.
+  /// treats that as a miss. The ranges are interned into the active
+  /// analysis's arena, or into a fresh one \p Out owns when none is
+  /// active (RangeArena::joinOrCreate).
   static bool deserialize(const std::string &Payload, const Function &F,
                           FunctionVRPResult &Out);
 
@@ -119,7 +121,7 @@ public:
   /// same structural checks as deserialize() (same block count, every id
   /// present with the same opcode, branches are CondBrInsts) and returns
   /// false on any mismatch, leaving \p Out unspecified. \p Prev's
-  /// function must still be alive.
+  /// function must still be alive. \p Out shares \p Prev's arena.
   static bool rebind(const FunctionVRPResult &Prev, const Function &F,
                      FunctionVRPResult &Out);
 

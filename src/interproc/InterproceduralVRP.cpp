@@ -116,9 +116,11 @@ ValueRange computeParamRange(const Function *F, unsigned PI,
 /// return tables, and the dirty set driving re-analysis.
 class InterprocDriver {
 public:
-  InterprocDriver(Module &M, const VRPOptions &Opts, AnalysisCache *Cache,
+  InterprocDriver(Module &M, const VRPOptions &Opts,
+                  std::shared_ptr<RangeArena> Arena, AnalysisCache *Cache,
                   PersistentCache *PCache, ThreadPool *Pool)
-      : M(M), Opts(Opts), Cache(Cache), PCache(PCache), Pool(Pool) {
+      : M(M), Opts(Opts), Arena(std::move(Arena)), Cache(Cache),
+        PCache(PCache), Pool(Pool) {
     if (Opts.Budget.DeadlineMs != 0)
       Deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(Opts.Budget.DeadlineMs);
@@ -167,12 +169,13 @@ private:
   /// A function-scope ⊥ result: what propagateRanges produces when its
   /// budget runs out, manufactured here when the module deadline leaves
   /// no time to analyze \p F at all.
-  static FunctionVRPResult degradedResult(const Function &F) {
+  FunctionVRPResult degradedResult(const Function &F) const {
     // The engine counts degradations it produces itself; this result is
     // manufactured without ever entering the engine, so count it here.
     telemetry::count(telemetry::Counter::BudgetDegradations);
     FunctionVRPResult R;
     R.F = &F;
+    R.Arena = Arena;
     R.Degraded = true;
     R.DegradeCause = Status::failure(
         ErrorCategory::BudgetExceeded, "deadline",
@@ -186,6 +189,9 @@ private:
 
   Module &M;
   const VRPOptions &Opts;
+  /// Every range of this run lives here. The coordinating thread's scope
+  /// is installed by the entry point; pool tasks install their own.
+  std::shared_ptr<RangeArena> Arena;
   AnalysisCache *Cache;    ///< May be null (no memoization).
   PersistentCache *PCache; ///< May be null (no durable result cache).
   ThreadPool *Pool;        ///< May be null (serial per-SCC phase).
@@ -289,6 +295,7 @@ FunctionVRPResult InterprocDriver::analyzeOne(const Function &F,
 InterprocDriver::SccOutcome
 InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
                             bool Recursive) {
+  RangeArena::Scope ArenaScope(Arena); // May run on a pool worker.
   SccOutcome Out;
   RangeStats Scratch;
   RangeOps Ops(Opts, Scratch);
@@ -536,7 +543,10 @@ void InterprocDriver::runIntraprocedural() {
     Sweeps = 1;
     return;
   }
-  auto AnalyzeSlot = [&](size_t I) { return analyzeOne(*Fns[I], Ctx); };
+  auto AnalyzeSlot = [&](size_t I) {
+    RangeArena::Scope ArenaScope(Arena); // May run on a pool worker.
+    return analyzeOne(*Fns[I], Ctx);
+  };
   std::vector<FunctionVRPResult> Out;
   if (Pool && Pool->threadCount() > 1) {
     Out = Pool->parallelMap<FunctionVRPResult>(Fns.size(), AnalyzeSlot);
@@ -620,6 +630,7 @@ unsigned InterprocDriver::cloneDivergentCallees() {
 
 ModuleVRPResult InterprocDriver::finalize() {
   ModuleVRPResult Result;
+  Result.Arena = Arena;
   Result.Rounds = std::max(Sweeps, 1u);
   Result.Waves = CG ? CG->numWaves() : 0;
   Result.FunctionsCloned = Cloned;
@@ -789,13 +800,15 @@ ModuleVRPResult vrp::runModuleVRP(Module &M, const VRPOptions &Opts,
                                   AnalysisCache *Cache,
                                   PersistentCache *PCache) {
   telemetry::ScopedTimer T(telemetry::Timer::Propagation);
+  auto Arena = std::make_shared<RangeArena>();
+  RangeArena::Scope ArenaScope(Arena);
   unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
   ModuleVRPResult Result;
   if (Threads > 1 && M.functions().size() > 1) {
     ThreadPool Pool(Threads);
-    Result = InterprocDriver(M, Opts, Cache, PCache, &Pool).run();
+    Result = InterprocDriver(M, Opts, Arena, Cache, PCache, &Pool).run();
   } else {
-    Result = InterprocDriver(M, Opts, Cache, PCache, nullptr).run();
+    Result = InterprocDriver(M, Opts, Arena, Cache, PCache, nullptr).run();
   }
   applyUnsoundRangeFault(M, Result);
   return Result;
@@ -818,16 +831,21 @@ ModuleVRPResult vrp::runModuleVRPIncremental(const Module &M,
   assert(!Opts.EnableCloning &&
          "incremental re-analysis never mutates the module");
   telemetry::ScopedTimer T(telemetry::Timer::Propagation);
+  // Continue in the predecessor's arena: rebinding copies its numeric
+  // handles as they are, and the seeded tables can hold its ranges.
+  std::shared_ptr<RangeArena> Arena =
+      Previous.Arena ? Previous.Arena : std::make_shared<RangeArena>();
+  RangeArena::Scope ArenaScope(Arena);
   unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
   // Never mutated: cloning is excluded above, and nothing else writes.
   Module &MM = const_cast<Module &>(M);
   ModuleVRPResult Result;
   if (Threads > 1 && M.functions().size() > 1) {
     ThreadPool Pool(Threads);
-    Result = InterprocDriver(MM, Opts, Cache, PCache, &Pool)
+    Result = InterprocDriver(MM, Opts, Arena, Cache, PCache, &Pool)
                  .runIncremental(PrevModule, Previous);
   } else {
-    Result = InterprocDriver(MM, Opts, Cache, PCache, nullptr)
+    Result = InterprocDriver(MM, Opts, Arena, Cache, PCache, nullptr)
                  .runIncremental(PrevModule, Previous);
   }
   applyUnsoundRangeFault(M, Result);

@@ -29,12 +29,16 @@
 #include "vrp/Propagation.h"
 
 #include <map>
+#include <memory>
 #include <vector>
 
 namespace vrp {
 
 /// Whole-module propagation result.
 struct ModuleVRPResult {
+  /// The analysis's range arena, shared by every per-function result
+  /// (and continued by an incremental run that starts from this one).
+  std::shared_ptr<RangeArena> Arena;
   std::map<const Function *, FunctionVRPResult> PerFunction;
   RangeStats Total;
   /// Interprocedural sweeps executed (bottom-up passes over the wave
@@ -63,7 +67,8 @@ struct ModuleVRPResult {
 class AnalysisCache;
 class PersistentCache;
 
-/// Runs VRP over every function of \p M. With Opts.Interprocedural set,
+/// Runs VRP over every function of \p M in a fresh range arena, which the
+/// result owns. With Opts.Interprocedural set,
 /// parameter and return ranges flow across call edges; otherwise each
 /// function is analyzed with ⊥ context. With Opts.EnableCloning set (and
 /// interprocedural analysis on), divergent-context callees are cloned
@@ -99,7 +104,8 @@ ModuleVRPResult runModuleVRP(const Module &M, const VRPOptions &Opts,
 /// unchanged starts from its previous result (rebound to the new module
 /// by ordinal through PersistentCache::rebind, so the reuse is bitwise).
 /// \p PrevModule must stay alive for the call; the result refers only to
-/// \p M.
+/// \p M. The run continues in \p Previous's range arena (rebound results
+/// keep their handles), so the result shares it and keeps it alive.
 /// The changed functions seed the dirty set and the scheduler re-analyzes
 /// exactly the invalidated cone: callers re-run only when a callee's
 /// return range actually changed, callees only when the merged jump

@@ -157,7 +157,6 @@ struct Registry {
   std::mutex M;
   std::vector<Shard *> Live;
   Snapshot Retired;
-  std::vector<void (*)()> ResetHooks;
 };
 
 Registry &registry() {
@@ -229,26 +228,12 @@ Snapshot snapshot() {
 
 void reset() {
   detail::Registry &R = detail::registry();
-  std::vector<void (*)()> Hooks;
-  {
-    std::lock_guard<std::mutex> L(R.M);
-    R.Retired = Snapshot{};
-    // Zero live shards in place: their owning threads cache the pointer,
-    // so the storage must stay put.
-    for (detail::Shard *S : R.Live)
-      detail::zeroShard(*S);
-    Hooks = R.ResetHooks;
-  }
-  // Outside the lock: a hook may take its own subsystem lock which is
-  // also held around telemetry::count (and hence shard registration).
-  for (void (*Hook)() : Hooks)
-    Hook();
-}
-
-void addResetHook(void (*Hook)()) {
-  detail::Registry &R = detail::registry();
   std::lock_guard<std::mutex> L(R.M);
-  R.ResetHooks.push_back(Hook);
+  R.Retired = Snapshot{};
+  // Zero live shards in place: their owning threads cache the pointer,
+  // so the storage must stay put.
+  for (detail::Shard *S : R.Live)
+    detail::zeroShard(*S);
 }
 
 std::string toText(const Snapshot &S) {

@@ -89,9 +89,9 @@ enum class Counter : unsigned {
   // Arena/SoA range storage (vrp/RangeArena.h) and the range kernels.
   // All are functions of the analysis work alone — interning resolves
   // first-writer races to the same id, payload bytes exclude chunk
-  // padding, and the arena counts epoch-relative to the last reset() so
-  // its process-lifetime contents never leak into a run's totals — so
-  // they stay inside the deterministic (non-timing) half of the report.
+  // padding, and each analysis interns into an arena of its own (an
+  // incremental run continues its predecessor's) — so they stay inside
+  // the deterministic (non-timing) half of the report.
   RangeInternHits,
   RangeInternMisses,
   RangeArenaPayloadBytes,
@@ -253,17 +253,9 @@ struct Snapshot {
 /// order — and hence the thread schedule — cannot affect the result).
 Snapshot snapshot();
 
-/// Zeroes every shard and the retired accumulator, then invokes every
-/// registered reset hook. Collection state (enabled/disabled) is
-/// unchanged.
+/// Zeroes every shard and the retired accumulator. Collection state
+/// (enabled/disabled) is unchanged.
 void reset();
-
-/// Registers \p Hook to run at the end of every reset(). Used by
-/// subsystems with process-lifetime state (e.g. the range arena) that
-/// report run-relative counters: the hook marks the run boundary so a
-/// run's counts depend only on its own work. Hooks run outside the
-/// telemetry lock and are never unregistered.
-void addResetHook(void (*Hook)());
 
 /// Renders the counter half of \p S as a text table (name, value).
 std::string toText(const Snapshot &S);

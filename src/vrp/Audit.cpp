@@ -299,6 +299,7 @@ bool vrp::audit::corruptRangeForTesting(const Function &F,
   // observation then violates. A full-width hull leaves only a
   // best-effort point.
   int64_t W = Lo > Int64Min ? Lo - 1 : (Hi < Int64Max ? Hi + 1 : Lo);
+  RangeArena::Scope ArenaScope(VRP.Arena);
   VRP.Ranges[Target] = ValueRange::intConstant(W);
   return true;
 }

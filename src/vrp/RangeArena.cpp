@@ -10,6 +10,8 @@
 #include "vrp/ValueRange.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace vrp;
@@ -43,51 +45,184 @@ inline uint64_t probBits(double P) {
   return Bits;
 }
 
+/// Running out of ids or rows is a hard stop in every build type: a
+/// wrapped id would silently alias another range.
+[[noreturn]] void fatal(const char *What) {
+  std::fprintf(stderr, "fatal: range arena: %s\n", What);
+  std::abort();
+}
+
+/// Arena id allocation. Id 0 belongs to the default arena; freed ids are
+/// reused before fresh ones.
+struct IdPool {
+  std::mutex M;
+  std::vector<uint16_t> Free;
+  uint32_t NextFresh = 1;
+  unsigned Live = 0;
+};
+
+IdPool &idPool() {
+  static IdPool *Pool = new IdPool(); // Outlives every static arena.
+  return *Pool;
+}
+
+uint16_t acquireId() {
+  IdPool &P = idPool();
+  std::lock_guard<std::mutex> Lock(P.M);
+  ++P.Live;
+  if (!P.Free.empty()) {
+    uint16_t Id = P.Free.back();
+    P.Free.pop_back();
+    return Id;
+  }
+  if (P.NextFresh >= (1u << 16))
+    fatal("more than 65535 arenas alive at once");
+  return static_cast<uint16_t>(P.NextFresh++);
+}
+
+thread_local RangeArena *Active = nullptr;
+
 } // namespace
 
-RangeArena::RangeArena() {
-  for (auto &C : RowChunks)
-    C.store(nullptr, std::memory_order_relaxed);
-  for (auto &C : SliceChunks)
-    C.store(nullptr, std::memory_order_relaxed);
-  for (auto &C : SymChunks)
-    C.store(nullptr, std::memory_order_relaxed);
-  for (auto &C : FPRowChunks)
-    C.store(nullptr, std::memory_order_relaxed);
-  for (auto &C : FPSliceChunks)
-    C.store(nullptr, std::memory_order_relaxed);
-  // Materialize slice 0 (the empty slice) so sliceInfo(0) is valid.
-  auto *SC = new SliceChunk();
-  SliceChunks[0].store(SC, std::memory_order_release);
-  auto *FSC = new FPSliceChunk();
-  FPSliceChunks[0].store(FSC, std::memory_order_release);
+std::atomic<RangeArena *> RangeArena::Registry[RangeArena::MaxArenas];
+
+//===----------------------------------------------------------------------===
+// Chunk directory and intern table
+//===----------------------------------------------------------------------===
+
+template <class ChunkT> RangeArena::ChunkDir<ChunkT>::~ChunkDir() {
+  if (Dirs.empty())
+    return;
+  for (uint32_t I = 0; I < Cap; ++I)
+    delete Dirs.back()[I].load(std::memory_order_relaxed);
 }
 
-RangeArena &RangeArena::global() {
-  static RangeArena Arena;
-  // Registered once, after the arena exists: a telemetry reset marks a
-  // run boundary, so the intern counters restart epoch-relative counting.
-  static bool HookRegistered =
-      (telemetry::addResetHook([] { RangeArena::global().beginEpoch(); }),
-       true);
-  (void)HookRegistered;
-  return Arena;
+template <class ChunkT>
+ChunkT &RangeArena::ChunkDir<ChunkT>::getOrCreate(uint32_t Index) {
+  if (Index >= MaxChunks)
+    fatal("row or slice ids exhausted");
+  if (Index >= Cap) {
+    uint32_t NewCap = Cap == 0 ? 4 : Cap * 2;
+    auto New = std::make_unique<std::atomic<ChunkT *>[]>(NewCap);
+    for (uint32_t I = 0; I < Cap; ++I)
+      New[I].store(Dirs.back()[I].load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+    Dir.store(New.get(), std::memory_order_release);
+    Dirs.push_back(std::move(New));
+    Cap = NewCap;
+  }
+  std::atomic<ChunkT *> &Slot = Dirs.back()[Index];
+  ChunkT *C = Slot.load(std::memory_order_relaxed);
+  if (!C) {
+    C = new ChunkT; // Uninitialized: rows are written before publication.
+    Slot.store(C, std::memory_order_release);
+  }
+  return *C;
 }
 
-void RangeArena::beginEpoch() {
+size_t RangeArena::InternTable::home(uint64_t Hash) const {
+  // Fibonacci hashing: the product's top bits mix every bit of the hash.
+  return static_cast<size_t>((Hash * 0x9E3779B97F4A7C15ull) >>
+                             (64 - LogSize));
+}
+
+template <class SameFn>
+uint32_t RangeArena::InternTable::find(uint64_t Hash, SameFn Same) const {
+  if (Slots.empty())
+    return 0;
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = home(Hash);; I = (I + 1) & Mask) {
+    const Slot &S = Slots[I];
+    if (S.Id == 0)
+      return 0;
+    if (S.Hash == Hash && Same(S.Id))
+      return S.Id;
+  }
+}
+
+void RangeArena::InternTable::insert(uint64_t Hash, uint32_t Id) {
+  if ((Used + 1) * 2 > Slots.size()) {
+    // Keep the load factor at most 1/2.
+    std::vector<Slot> Old = std::move(Slots);
+    LogSize = Old.empty() ? 6 : LogSize + 1;
+    Slots.assign(size_t(1) << LogSize, Slot{0, 0});
+    for (const Slot &S : Old)
+      if (S.Id != 0)
+        place(S);
+  }
+  place(Slot{Hash, Id});
+  ++Used;
+}
+
+void RangeArena::InternTable::place(Slot S) {
+  size_t Mask = Slots.size() - 1;
+  size_t I = home(S.Hash);
+  while (Slots[I].Id != 0)
+    I = (I + 1) & Mask;
+  Slots[I] = S;
+}
+
+//===----------------------------------------------------------------------===
+// Lifetime, ids and the current arena
+//===----------------------------------------------------------------------===
+
+RangeArena::RangeArena() : Id(acquireId()) {
+  Registry[Id].store(this, std::memory_order_release);
+}
+
+RangeArena::RangeArena(DefaultTag) : Id(0) {
+  IdPool &P = idPool();
+  std::lock_guard<std::mutex> Lock(P.M);
+  ++P.Live;
+  Registry[0].store(this, std::memory_order_release);
+}
+
+RangeArena::~RangeArena() {
+  assert(Id != 0 && "the default arena is never destroyed");
+  Registry[Id].store(nullptr, std::memory_order_release);
+  IdPool &P = idPool();
+  std::lock_guard<std::mutex> Lock(P.M);
+  --P.Live;
+  P.Free.push_back(Id);
+}
+
+RangeArena &RangeArena::defaultArena() {
+  // Never destroyed: a range in a static object may be read at exit.
+  static RangeArena *Default = new RangeArena(DefaultTag{});
+  return *Default;
+}
+
+RangeArena &RangeArena::current() {
+  return Active ? *Active : defaultArena();
+}
+
+std::shared_ptr<RangeArena> RangeArena::joinOrCreate() {
+  return Active ? Active->shared_from_this()
+                : std::make_shared<RangeArena>();
+}
+
+unsigned RangeArena::liveCount() {
+  IdPool &P = idPool();
+  std::lock_guard<std::mutex> Lock(P.M);
+  return P.Live;
+}
+
+RangeArena::Scope::Scope(const std::shared_ptr<RangeArena> &A)
+    : Prev(Active) {
+  if (A)
+    Active = A.get();
+}
+
+RangeArena::Scope::~Scope() { Active = Prev; }
+
+uint64_t RangeArena::interns() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++CurrentEpoch;
+  return InternCalls;
 }
 
-RangeArena::RowChunk *RangeArena::rowChunk(uint32_t Index) const {
-  return RowChunks[Index].load(std::memory_order_acquire);
-}
-
-const RangeArena::SliceInfo &RangeArena::sliceInfo(uint32_t SliceId) const {
-  const SliceChunk *C =
-      SliceChunks[SliceId >> ChunkShift].load(std::memory_order_acquire);
-  return C->Infos[SliceId & (ChunkRows - 1)];
-}
+//===----------------------------------------------------------------------===
+// Integer column family
+//===----------------------------------------------------------------------===
 
 uint32_t RangeArena::symId(const Value *V) {
   if (!V)
@@ -96,14 +231,7 @@ uint32_t RangeArena::symId(const Value *V) {
   if (It != SymIds.end())
     return It->second;
   uint32_t Id = NextSym++;
-  assert(Id < MaxChunks * ChunkRows && "symbol table exhausted");
-  uint32_t ChunkIdx = Id >> ChunkShift;
-  SymChunk *C = SymChunks[ChunkIdx].load(std::memory_order_acquire);
-  if (!C) {
-    C = new SymChunk();
-    SymChunks[ChunkIdx].store(C, std::memory_order_release);
-  }
-  C->Syms[Id & (ChunkRows - 1)] = V;
+  SymChunks.getOrCreate(Id >> ChunkShift).Syms[Id & (ChunkRows - 1)] = V;
   SymIds.emplace(V, Id);
   return Id;
 }
@@ -111,9 +239,7 @@ uint32_t RangeArena::symId(const Value *V) {
 const Value *RangeArena::symValue(uint32_t SymId) const {
   if (SymId == 0)
     return nullptr;
-  const SymChunk *C =
-      SymChunks[SymId >> ChunkShift].load(std::memory_order_acquire);
-  return C->Syms[SymId & (ChunkRows - 1)];
+  return SymChunks.get(SymId >> ChunkShift).Syms[SymId & (ChunkRows - 1)];
 }
 
 uint32_t RangeArena::intern(const SubRange *Subs, uint32_t N) {
@@ -122,6 +248,7 @@ uint32_t RangeArena::intern(const SubRange *Subs, uint32_t N) {
   assert(N <= MaxSliceRows && "subrange set exceeds one arena chunk");
 
   std::lock_guard<std::mutex> Lock(Mu);
+  ++InternCalls;
 
   // Resolve symbol ordinals first: the content hash and the dedup compare
   // both key on ordinals, which are themselves interned by pointer
@@ -137,54 +264,39 @@ uint32_t RangeArena::intern(const SubRange *Subs, uint32_t N) {
     ScratchHiSym.push_back(HS);
   }
 
-  // Only pointer-free (all-numeric) contents intern module-wide. A
-  // symbolic content embeds symbol ordinals keyed on SSA pointer
-  // identity, and the allocator may reuse a dead function's addresses
-  // for a later function's values — cross-function identity would then
-  // depend on heap layout and hence on the thread schedule. Symbolic
-  // sets get arena rows but no dedup; each insertion reports as a miss,
-  // so all three intern counters stay functions of the work alone.
-  std::vector<uint32_t> *Bucket = nullptr;
+  // Only pointer-free (all-numeric) contents intern. A symbolic content
+  // embeds symbol ordinals keyed on SSA pointer identity, and the
+  // allocator may reuse a dead function's addresses for a later
+  // function's values — cross-function identity would then depend on
+  // heap layout and hence on the thread schedule. Symbolic sets get
+  // arena rows but no dedup; each insertion reports as a miss, so all
+  // three intern counters stay functions of the work alone.
+  uint64_t Hash = 0;
   if (AllNumeric) {
-    uint64_t Hash = 14695981039346656037ull ^ N;
+    Hash = 14695981039346656037ull ^ N;
     for (uint32_t I = 0; I < N; ++I) {
       Hash = fnv1a(Hash, probBits(Subs[I].Prob));
       Hash = fnv1a(Hash, static_cast<uint64_t>(Subs[I].Lo.Offset));
       Hash = fnv1a(Hash, static_cast<uint64_t>(Subs[I].Hi.Offset));
       Hash = fnv1a(Hash, static_cast<uint64_t>(Subs[I].Stride));
     }
-
-    Bucket = &InternMap[Hash];
-    for (uint32_t Candidate : *Bucket) {
+    uint32_t Found = Interned.find(Hash, [&](uint32_t Candidate) {
       const SliceInfo &Info = sliceInfo(Candidate);
       if (Info.Count != N)
-        continue;
-      const RowChunk *C = rowChunk(Info.RowBegin >> ChunkShift);
+        return false;
+      const RowChunk &C = RowChunks.get(Info.RowBegin >> ChunkShift);
       uint32_t Base = Info.RowBegin & (ChunkRows - 1);
-      bool Same = true;
-      for (uint32_t I = 0; I < N && Same; ++I) {
-        Same = probBits(C->Prob[Base + I]) == probBits(Subs[I].Prob) &&
-               C->LoOff[Base + I] == Subs[I].Lo.Offset &&
-               C->HiOff[Base + I] == Subs[I].Hi.Offset &&
-               C->Stride[Base + I] == Subs[I].Stride;
-      }
-      if (Same) {
-        // Epoch-relative counting: the first intern of this content
-        // since the last run boundary reports as a miss with its payload
-        // bytes, exactly as a fresh process would (see beginEpoch()).
-        SliceChunk *SC = SliceChunks[Candidate >> ChunkShift].load(
-            std::memory_order_acquire);
-        SliceInfo &MutInfo = SC->Infos[Candidate & (ChunkRows - 1)];
-        if (MutInfo.Epoch != CurrentEpoch) {
-          MutInfo.Epoch = CurrentEpoch;
-          telemetry::count(telemetry::Counter::RangeInternMisses);
-          telemetry::count(telemetry::Counter::RangeArenaPayloadBytes,
-                           RowPayloadBytes * N);
-        } else {
-          telemetry::count(telemetry::Counter::RangeInternHits);
-        }
-        return Candidate;
-      }
+      for (uint32_t I = 0; I < N; ++I)
+        if (probBits(C.Prob[Base + I]) != probBits(Subs[I].Prob) ||
+            C.LoOff[Base + I] != Subs[I].Lo.Offset ||
+            C.HiOff[Base + I] != Subs[I].Hi.Offset ||
+            C.Stride[Base + I] != Subs[I].Stride)
+          return false;
+      return true;
+    });
+    if (Found != 0) {
+      telemetry::count(telemetry::Counter::RangeInternHits);
+      return Found;
     }
   }
 
@@ -194,39 +306,26 @@ uint32_t RangeArena::intern(const SubRange *Subs, uint32_t N) {
   if (Offset + N > ChunkRows)
     NextRow = (NextRow + ChunkRows - 1) & ~(ChunkRows - 1);
   uint32_t RowBegin = NextRow;
-  uint32_t ChunkIdx = RowBegin >> ChunkShift;
-  assert(ChunkIdx < MaxChunks && "range arena exhausted");
-  RowChunk *C = RowChunks[ChunkIdx].load(std::memory_order_acquire);
-  if (!C) {
-    C = new RowChunk();
-    RowChunks[ChunkIdx].store(C, std::memory_order_release);
-  }
+  RowChunk &C = RowChunks.getOrCreate(RowBegin >> ChunkShift);
   uint32_t Base = RowBegin & (ChunkRows - 1);
   for (uint32_t I = 0; I < N; ++I) {
-    C->Prob[Base + I] = Subs[I].Prob;
-    C->LoOff[Base + I] = Subs[I].Lo.Offset;
-    C->HiOff[Base + I] = Subs[I].Hi.Offset;
-    C->Stride[Base + I] = Subs[I].Stride;
-    C->LoSym[Base + I] = ScratchLoSym[I];
-    C->HiSym[Base + I] = ScratchHiSym[I];
+    C.Prob[Base + I] = Subs[I].Prob;
+    C.LoOff[Base + I] = Subs[I].Lo.Offset;
+    C.HiOff[Base + I] = Subs[I].Hi.Offset;
+    C.Stride[Base + I] = Subs[I].Stride;
+    C.LoSym[Base + I] = ScratchLoSym[I];
+    C.HiSym[Base + I] = ScratchHiSym[I];
   }
   NextRow = RowBegin + N;
 
   uint32_t SliceId = NextSlice++;
-  assert(SliceId < MaxChunks * ChunkRows && "slice table exhausted");
-  uint32_t SliceChunkIdx = SliceId >> ChunkShift;
-  SliceChunk *SC = SliceChunks[SliceChunkIdx].load(std::memory_order_acquire);
-  if (!SC) {
-    SC = new SliceChunk();
-    SliceChunks[SliceChunkIdx].store(SC, std::memory_order_release);
-  }
-  SliceInfo &Info = SC->Infos[SliceId & (ChunkRows - 1)];
+  SliceInfo &Info = SliceChunks.getOrCreate(SliceId >> ChunkShift)
+                        .Infos[SliceId & (ChunkRows - 1)];
   Info.RowBegin = RowBegin;
   Info.Count = static_cast<uint16_t>(N);
   Info.AllNumeric = AllNumeric ? 1 : 0;
-  Info.Epoch = CurrentEpoch;
-  if (Bucket)
-    Bucket->push_back(SliceId);
+  if (AllNumeric)
+    Interned.insert(Hash, SliceId);
 
   telemetry::count(telemetry::Counter::RangeInternMisses);
   telemetry::count(telemetry::Counter::RangeArenaPayloadBytes,
@@ -239,28 +338,17 @@ RangeArena::Rows RangeArena::rows(uint32_t SliceId) const {
   if (SliceId == 0)
     return R;
   const SliceInfo &Info = sliceInfo(SliceId);
-  const RowChunk *C = rowChunk(Info.RowBegin >> ChunkShift);
+  const RowChunk &C = RowChunks.get(Info.RowBegin >> ChunkShift);
   uint32_t Base = Info.RowBegin & (ChunkRows - 1);
-  R.Prob = C->Prob + Base;
-  R.LoOff = C->LoOff + Base;
-  R.HiOff = C->HiOff + Base;
-  R.Stride = C->Stride + Base;
-  R.LoSym = C->LoSym + Base;
-  R.HiSym = C->HiSym + Base;
+  R.Prob = C.Prob + Base;
+  R.LoOff = C.LoOff + Base;
+  R.HiOff = C.HiOff + Base;
+  R.Stride = C.Stride + Base;
+  R.LoSym = C.LoSym + Base;
+  R.HiSym = C.HiSym + Base;
   R.Count = Info.Count;
   R.AllNumeric = Info.AllNumeric != 0;
   return R;
-}
-
-SubRange RangeArena::row(uint32_t SliceId, uint32_t I) const {
-  Rows R = rows(SliceId);
-  assert(I < R.Count && "row index out of slice");
-  return SubRange(R.Prob[I], Bound(symValue(R.LoSym[I]), R.LoOff[I]),
-                  Bound(symValue(R.HiSym[I]), R.HiOff[I]), R.Stride[I]);
-}
-
-uint32_t RangeArena::sliceSize(uint32_t SliceId) const {
-  return SliceId == 0 ? 0 : sliceInfo(SliceId).Count;
 }
 
 bool RangeArena::sliceAllNumeric(uint32_t SliceId) const {
@@ -271,13 +359,6 @@ bool RangeArena::sliceAllNumeric(uint32_t SliceId) const {
 // Floating-point column family
 //===----------------------------------------------------------------------===
 
-const RangeArena::FPSliceInfo &
-RangeArena::fpSliceInfo(uint32_t SliceId) const {
-  const FPSliceChunk *C =
-      FPSliceChunks[SliceId >> ChunkShift].load(std::memory_order_acquire);
-  return C->Infos[SliceId & (ChunkRows - 1)];
-}
-
 uint32_t RangeArena::internFP(const FPInterval *Subs, uint32_t N,
                               double NaNMass) {
   if (N == 0 && probBits(NaNMass) == probBits(0.0))
@@ -285,6 +366,7 @@ uint32_t RangeArena::internFP(const FPInterval *Subs, uint32_t N,
   assert(N <= MaxSliceRows && "FP interval set exceeds one arena chunk");
 
   std::lock_guard<std::mutex> Lock(Mu);
+  ++InternCalls;
 
   // FP contents are pointer-free, so everything interns. The NaN mass is
   // part of the content: two slices with identical rows but different
@@ -298,37 +380,24 @@ uint32_t RangeArena::internFP(const FPInterval *Subs, uint32_t N,
     Hash = fnv1a(Hash, probBits(Subs[I].Hi));
   }
 
-  std::vector<uint32_t> *Bucket = &FPInternMap[Hash];
-  for (uint32_t Candidate : *Bucket) {
-    FPSliceChunk *SC =
-        FPSliceChunks[Candidate >> ChunkShift].load(std::memory_order_acquire);
-    FPSliceInfo &Info = SC->Infos[Candidate & (ChunkRows - 1)];
+  uint32_t Found = FPInterned.find(Hash, [&](uint32_t Candidate) {
+    const FPSliceInfo &Info = fpSliceInfo(Candidate);
     if (Info.Count != N || probBits(Info.NaNMass) != probBits(NaNMass))
-      continue;
-    bool Same = true;
-    if (N > 0) {
-      const FPRowChunk *C =
-          FPRowChunks[Info.RowBegin >> ChunkShift].load(
-              std::memory_order_acquire);
-      uint32_t Base = Info.RowBegin & (ChunkRows - 1);
-      for (uint32_t I = 0; I < N && Same; ++I) {
-        Same = probBits(C->Prob[Base + I]) == probBits(Subs[I].Prob) &&
-               probBits(C->Lo[Base + I]) == probBits(Subs[I].Lo) &&
-               probBits(C->Hi[Base + I]) == probBits(Subs[I].Hi);
-      }
-    }
-    if (Same) {
-      // Epoch-relative counting, exactly as for integer slices.
-      if (Info.Epoch != CurrentEpoch) {
-        Info.Epoch = CurrentEpoch;
-        telemetry::count(telemetry::Counter::RangeInternMisses);
-        telemetry::count(telemetry::Counter::RangeArenaPayloadBytes,
-                         FPRowPayloadBytes * N + FPSlicePayloadBytes);
-      } else {
-        telemetry::count(telemetry::Counter::RangeInternHits);
-      }
-      return Candidate;
-    }
+      return false;
+    if (N == 0)
+      return true;
+    const FPRowChunk &C = FPRowChunks.get(Info.RowBegin >> ChunkShift);
+    uint32_t Base = Info.RowBegin & (ChunkRows - 1);
+    for (uint32_t I = 0; I < N; ++I)
+      if (probBits(C.Prob[Base + I]) != probBits(Subs[I].Prob) ||
+          probBits(C.Lo[Base + I]) != probBits(Subs[I].Lo) ||
+          probBits(C.Hi[Base + I]) != probBits(Subs[I].Hi))
+        return false;
+    return true;
+  });
+  if (Found != 0) {
+    telemetry::count(telemetry::Counter::RangeInternHits);
+    return Found;
   }
 
   // New content: allocate rows (none for the pure-NaN range). A slice
@@ -339,37 +408,23 @@ uint32_t RangeArena::internFP(const FPInterval *Subs, uint32_t N,
     if (Offset + N > ChunkRows)
       NextFPRow = (NextFPRow + ChunkRows - 1) & ~(ChunkRows - 1);
     RowBegin = NextFPRow;
-    uint32_t ChunkIdx = RowBegin >> ChunkShift;
-    assert(ChunkIdx < MaxChunks && "FP range arena exhausted");
-    FPRowChunk *C = FPRowChunks[ChunkIdx].load(std::memory_order_acquire);
-    if (!C) {
-      C = new FPRowChunk();
-      FPRowChunks[ChunkIdx].store(C, std::memory_order_release);
-    }
+    FPRowChunk &C = FPRowChunks.getOrCreate(RowBegin >> ChunkShift);
     uint32_t Base = RowBegin & (ChunkRows - 1);
     for (uint32_t I = 0; I < N; ++I) {
-      C->Prob[Base + I] = Subs[I].Prob;
-      C->Lo[Base + I] = Subs[I].Lo;
-      C->Hi[Base + I] = Subs[I].Hi;
+      C.Prob[Base + I] = Subs[I].Prob;
+      C.Lo[Base + I] = Subs[I].Lo;
+      C.Hi[Base + I] = Subs[I].Hi;
     }
     NextFPRow = RowBegin + N;
   }
 
   uint32_t SliceId = NextFPSlice++;
-  assert(SliceId < MaxChunks * ChunkRows && "FP slice table exhausted");
-  uint32_t SliceChunkIdx = SliceId >> ChunkShift;
-  FPSliceChunk *SC =
-      FPSliceChunks[SliceChunkIdx].load(std::memory_order_acquire);
-  if (!SC) {
-    SC = new FPSliceChunk();
-    FPSliceChunks[SliceChunkIdx].store(SC, std::memory_order_release);
-  }
-  FPSliceInfo &Info = SC->Infos[SliceId & (ChunkRows - 1)];
+  FPSliceInfo &Info = FPSliceChunks.getOrCreate(SliceId >> ChunkShift)
+                          .Infos[SliceId & (ChunkRows - 1)];
   Info.RowBegin = RowBegin;
-  Info.Count = static_cast<uint16_t>(N);
-  Info.Epoch = CurrentEpoch;
+  Info.Count = N;
   Info.NaNMass = NaNMass;
-  Bucket->push_back(SliceId);
+  FPInterned.insert(Hash, SliceId);
 
   telemetry::count(telemetry::Counter::RangeInternMisses);
   telemetry::count(telemetry::Counter::RangeArenaPayloadBytes,
@@ -385,21 +440,11 @@ RangeArena::FPRows RangeArena::fpRows(uint32_t SliceId) const {
   R.Count = Info.Count;
   R.NaNMass = Info.NaNMass;
   if (Info.Count > 0) {
-    const FPRowChunk *C =
-        FPRowChunks[Info.RowBegin >> ChunkShift].load(
-            std::memory_order_acquire);
+    const FPRowChunk &C = FPRowChunks.get(Info.RowBegin >> ChunkShift);
     uint32_t Base = Info.RowBegin & (ChunkRows - 1);
-    R.Prob = C->Prob + Base;
-    R.Lo = C->Lo + Base;
-    R.Hi = C->Hi + Base;
+    R.Prob = C.Prob + Base;
+    R.Lo = C.Lo + Base;
+    R.Hi = C.Hi + Base;
   }
   return R;
-}
-
-uint32_t RangeArena::fpSliceSize(uint32_t SliceId) const {
-  return SliceId == 0 ? 0 : fpSliceInfo(SliceId).Count;
-}
-
-double RangeArena::fpNaNMass(uint32_t SliceId) const {
-  return SliceId == 0 ? 0.0 : fpSliceInfo(SliceId).NaNMass;
 }

@@ -5,16 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Module-lifetime structure-of-arrays storage for canonical subrange
-/// sets. Every `ValueRange` of kind Ranges holds a 32-bit *slice id* into
-/// this arena instead of a heap `std::vector<SubRange>`; the arena stores
-/// the subrange fields in six contiguous parallel columns
+/// Structure-of-arrays storage for canonical subrange sets. Every
+/// `ValueRange` of kind Ranges holds a 32-bit *slice id* into an arena
+/// instead of a heap `std::vector<SubRange>`; the arena stores the
+/// subrange fields in six contiguous parallel columns
 /// `{Prob, LoSym, LoOff, HiSym, HiOff, Stride}` so the hot kernels in
 /// RangeOps iterate flat arrays instead of pointer-bearing structs.
 ///
+/// Ownership: one arena per analysis. `runModuleVRP` and a standalone
+/// `propagateRanges` each create one, and the results they return own it
+/// through a `std::shared_ptr` (`FunctionVRPResult::Arena`), so the
+/// storage is freed when the last result that uses it dies. An
+/// incremental run continues in its predecessor's arena (DESIGN.md
+/// §6.1). Writers intern into the thread's *current* arena, installed by
+/// a `RangeArena::Scope`; outside every scope that is the process default
+/// arena, which unit tests and examples use and which is never freed.
+/// Every arena has a 16-bit id, recorded in each handle, and a
+/// process-wide table maps live ids to arenas, so a handle is read
+/// through its own arena from any thread for as long as that arena
+/// lives. An id is recycled once its arena dies.
+///
 /// All-numeric slices are *interned*: inserting a row set that is bitwise
-/// identical to a previously inserted one returns the existing id, so
-/// φ-heavy functions share storage module-wide and range equality has an
+/// identical to one already in the arena returns the existing id, so
+/// φ-heavy functions share storage and range equality has an
 /// id-comparison fast path. Symbolic bounds store an interned 32-bit
 /// symbol ordinal (0 = numeric) rather than a `const Value *`, keeping
 /// rows pointer-free; the symbol table maps ordinals back to SSA values
@@ -26,18 +39,19 @@
 /// The floating-point domain (docs/DOMAINS.md) stores its weighted
 /// intervals as a *parallel column family* in the same arena: three
 /// contiguous columns `{Prob, Lo, Hi}` (binary64 bounds) plus a per-slice
-/// NaN probability mass, with its own slice-id space and intern map. FP
-/// contents are always pointer-free, so every FP slice interns
-/// module-wide; the NaN mass is part of the interned content (hashed and
-/// compared by bit pattern) so an FP slice id alone identifies the full
-/// lattice value.
+/// NaN probability mass, with its own slice-id space and intern table. FP
+/// contents are always pointer-free, so every FP slice interns; the NaN
+/// mass is part of the interned content (hashed and compared by bit
+/// pattern) so an FP slice id alone identifies the full lattice value.
 ///
-/// Concurrency: insertion takes a mutex; reads are lock-free. Columns are
-/// chunked with stable addresses (a slice never straddles a chunk), so a
-/// published slice id can be dereferenced without synchronizing with later
-/// growth. Ids travel between threads only through already-synchronized
-/// channels (task queues, guarded result maps), which carries the
-/// happens-before needed for the row data itself.
+/// Concurrency: insertion takes the arena's mutex; reads are lock-free.
+/// Columns are chunked with stable addresses (a slice never straddles a
+/// chunk), and the chunk directories grow by doubling with every old
+/// directory kept until the arena dies, so a published slice id can be
+/// dereferenced without synchronizing with later growth. Ids travel
+/// between threads only through already-synchronized channels (task
+/// queues, guarded result maps), which carries the happens-before needed
+/// for the row data itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +60,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -70,7 +85,7 @@ struct FPInterval {
   bool isSingleton() const { return Lo == Hi; }
 };
 
-class RangeArena {
+class RangeArena : public std::enable_shared_from_this<RangeArena> {
 public:
   /// Rows per chunk; also the maximum slice size. Matches the subrange
   /// count cap enforced by the PersistentCache deserializer, so any range
@@ -79,10 +94,50 @@ public:
   static constexpr uint32_t ChunkRows = 1u << ChunkShift;
   static constexpr uint32_t MaxSliceRows = ChunkRows;
 
-  /// The process-wide arena. Ranges are interned module-wide (in fact
-  /// process-wide): ids from different modules coexist harmlessly because
-  /// interning keys on content.
-  static RangeArena &global();
+  /// An empty arena with a fresh id. Costs no chunk until the first
+  /// intern. Stops the program when 2^16 - 1 arenas are already alive.
+  RangeArena();
+  ~RangeArena();
+  RangeArena(const RangeArena &) = delete;
+  RangeArena &operator=(const RangeArena &) = delete;
+
+  /// This arena's id, unique among live arenas.
+  uint16_t id() const { return Id; }
+
+  /// The live arena with id \p Id.
+  static const RangeArena &byId(uint16_t Id) {
+    return *Registry[Id].load(std::memory_order_acquire);
+  }
+
+  /// The arena this thread interns into: the innermost Scope's, else the
+  /// default arena.
+  static RangeArena &current();
+
+  /// The process default arena (id 0). Never freed; nothing reachable
+  /// from an analysis entry point writes to it.
+  static RangeArena &defaultArena();
+
+  /// The innermost Scope's arena, or a fresh one when no Scope is active
+  /// on this thread: how a result made outside an analysis gets storage
+  /// of its own.
+  static std::shared_ptr<RangeArena> joinOrCreate();
+
+  /// Number of live arenas, the default arena included once created.
+  static unsigned liveCount();
+
+  /// Makes \p A this thread's current arena until the scope ends; a null
+  /// \p A keeps the current one. The caller keeps \p A alive.
+  class Scope {
+  public:
+    explicit Scope(const std::shared_ptr<RangeArena> &A);
+    Scope(std::shared_ptr<RangeArena> &&) = delete;
+    ~Scope();
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
+
+  private:
+    RangeArena *Prev;
+  };
 
   /// SoA view of one slice: six parallel columns of length `Count`.
   /// `LoSym`/`HiSym` are symbol ordinals (0 = numeric bound).
@@ -98,25 +153,13 @@ public:
   };
 
   /// Interns \p N subranges as one slice and returns its id; bitwise
-  /// identical content (probability compared by bit pattern, symbols by
-  /// identity) returns the existing id. N == 0 returns the empty slice 0.
+  /// identical all-numeric content (probability compared by bit pattern)
+  /// returns the existing id. N == 0 returns the empty slice 0.
   uint32_t intern(const SubRange *Subs, uint32_t N);
-
-  /// Starts a new counting epoch (registered as a telemetry reset hook).
-  /// The arena's contents outlive any one telemetry run, so the intern
-  /// counters are *epoch-relative*: the first intern of a given content
-  /// within an epoch counts as a miss (and contributes its payload
-  /// bytes), exactly as it would in a fresh process, making a run's
-  /// counter totals a function of that run's work alone.
-  void beginEpoch();
 
   /// Column view of a slice. Slice 0 yields an empty view.
   Rows rows(uint32_t SliceId) const;
 
-  /// Materializes row \p I of a slice as a SubRange value.
-  SubRange row(uint32_t SliceId, uint32_t I) const;
-
-  uint32_t sliceSize(uint32_t SliceId) const;
   bool sliceAllNumeric(uint32_t SliceId) const;
 
   //===--------------------------------------------------------------------===
@@ -136,27 +179,79 @@ public:
   /// Interns \p N weighted FP intervals plus the slice's NaN probability
   /// mass as one FP slice and returns its id. FP slice ids are a separate
   /// id space from integer slice ids (a ValueRange's kind disambiguates).
-  /// All FP contents are pointer-free, so every FP slice interns
-  /// module-wide; \p NaNMass participates in the content hash and the
-  /// dedup compare (by bit pattern), making slice id -> NaN mass
-  /// injective — which id equality relies on. N == 0 with zero NaN
-  /// mass returns the empty slice 0; N == 0 with positive NaN mass is the
-  /// pure-NaN range and interns a rowless slice.
+  /// All FP contents are pointer-free, so every FP slice interns;
+  /// \p NaNMass participates in the content hash and the dedup compare
+  /// (by bit pattern), making slice id -> NaN mass injective — which id
+  /// equality relies on. N == 0 with zero NaN mass returns the empty
+  /// slice 0; N == 0 with positive NaN mass is the pure-NaN range and
+  /// interns a rowless slice.
   uint32_t internFP(const FPInterval *Subs, uint32_t N, double NaNMass);
 
   /// Column view of an FP slice. Slice 0 yields an empty view.
   FPRows fpRows(uint32_t SliceId) const;
 
-  uint32_t fpSliceSize(uint32_t SliceId) const;
-  double fpNaNMass(uint32_t SliceId) const;
-
   /// Symbol ordinal -> SSA value (0 -> nullptr).
   const Value *symValue(uint32_t SymId) const;
 
+  /// Intern calls this arena has answered, hits and misses, both
+  /// families.
+  uint64_t interns() const;
+
 private:
-  RangeArena();
-  RangeArena(const RangeArena &) = delete;
-  RangeArena &operator=(const RangeArena &) = delete;
+  struct DefaultTag {};
+  explicit RangeArena(DefaultTag);
+
+  static constexpr uint32_t MaxChunks = 1u << 15; // 2^27 rows / slices.
+  static constexpr uint32_t MaxArenas = 1u << 16;
+
+  /// Live id -> arena; entry 0 is the default arena.
+  static std::atomic<RangeArena *> Registry[MaxArenas];
+
+  /// Chunk pointers with lock-free reads. The directory starts empty and
+  /// doubles under the arena mutex; superseded directories stay allocated
+  /// until the arena dies, so a reader still holding one finds every
+  /// chunk published before the doubling.
+  template <class ChunkT> class ChunkDir {
+  public:
+    ChunkDir() = default;
+    ChunkDir(const ChunkDir &) = delete;
+    ChunkDir &operator=(const ChunkDir &) = delete;
+    ~ChunkDir();
+
+    const ChunkT &get(uint32_t Index) const {
+      return *Dir.load(std::memory_order_acquire)[Index].load(
+          std::memory_order_acquire);
+    }
+    /// Chunk \p Index, allocated on first use (under the arena mutex).
+    ChunkT &getOrCreate(uint32_t Index);
+
+  private:
+    std::atomic<std::atomic<ChunkT *> *> Dir{nullptr};
+    uint32_t Cap = 0;
+    std::vector<std::unique_ptr<std::atomic<ChunkT *>[]>> Dirs;
+  };
+
+  /// Content hash -> slice id, open addressing with linear probing. Ids
+  /// are held directly, with no node or list per hash; contents whose
+  /// hashes collide take successive probe slots.
+  class InternTable {
+  public:
+    /// The stored id under \p Hash whose content \p Same accepts, else 0.
+    template <class SameFn> uint32_t find(uint64_t Hash, SameFn Same) const;
+    void insert(uint64_t Hash, uint32_t Id);
+
+  private:
+    struct Slot {
+      uint64_t Hash;
+      uint32_t Id; ///< 0 = empty.
+    };
+    size_t home(uint64_t Hash) const;
+    void place(Slot S); ///< Into the first empty slot of its probe run.
+
+    std::vector<Slot> Slots; ///< Empty, or a power-of-two size.
+    unsigned LogSize = 0;
+    uint32_t Used = 0;
+  };
 
   struct RowChunk {
     double Prob[ChunkRows];
@@ -167,13 +262,12 @@ private:
     uint32_t HiSym[ChunkRows];
   };
 
+  /// No default member initializers: chunks are allocated uninitialized
+  /// and every field is written when its slice is created.
   struct SliceInfo {
-    uint32_t RowBegin = 0;
-    uint16_t Count = 0;
-    uint16_t AllNumeric = 1;
-    /// Last epoch this content was interned in (counting only; written
-    /// under Mu, never read by the lock-free accessors).
-    uint32_t Epoch = 0;
+    uint32_t RowBegin;
+    uint16_t Count;
+    uint16_t AllNumeric;
   };
 
   struct SliceChunk {
@@ -193,40 +287,43 @@ private:
   };
 
   struct FPSliceInfo {
-    uint32_t RowBegin = 0;
-    uint16_t Count = 0;
-    uint32_t Epoch = 0; ///< See SliceInfo::Epoch.
-    double NaNMass = 0.0;
+    uint32_t RowBegin;
+    uint32_t Count;
+    double NaNMass;
   };
 
   struct FPSliceChunk {
     FPSliceInfo Infos[ChunkRows];
   };
 
-  static constexpr uint32_t MaxChunks = 1u << 15; // 2^27 rows / slices.
-
-  RowChunk *rowChunk(uint32_t Index) const;
-  const SliceInfo &sliceInfo(uint32_t SliceId) const;
-  const FPSliceInfo &fpSliceInfo(uint32_t SliceId) const;
+  const SliceInfo &sliceInfo(uint32_t SliceId) const {
+    return SliceChunks.get(SliceId >> ChunkShift)
+        .Infos[SliceId & (ChunkRows - 1)];
+  }
+  const FPSliceInfo &fpSliceInfo(uint32_t SliceId) const {
+    return FPSliceChunks.get(SliceId >> ChunkShift)
+        .Infos[SliceId & (ChunkRows - 1)];
+  }
   uint32_t symId(const Value *V); // Under Mu.
 
+  const uint16_t Id;
+
   mutable std::mutex Mu;
-  uint32_t NextRow = 0;   // Global row cursor (chunk-padded).
+  uint32_t NextRow = 0;   // Row cursor (chunk-padded).
   uint32_t NextSlice = 1; // Slice 0 is the reserved empty slice.
   uint32_t NextSym = 1;   // Symbol 0 is the numeric bound.
   uint32_t NextFPRow = 0;   // FP row cursor (chunk-padded).
   uint32_t NextFPSlice = 1; // FP slice 0 is the reserved empty slice.
-  uint32_t CurrentEpoch = 1; // Counting epoch; SliceInfo::Epoch 0 = stale.
+  uint64_t InternCalls = 0;
 
-  std::atomic<RowChunk *> RowChunks[MaxChunks];
-  std::atomic<SliceChunk *> SliceChunks[MaxChunks];
-  std::atomic<SymChunk *> SymChunks[MaxChunks];
-  std::atomic<FPRowChunk *> FPRowChunks[MaxChunks];
-  std::atomic<FPSliceChunk *> FPSliceChunks[MaxChunks];
+  ChunkDir<RowChunk> RowChunks;
+  ChunkDir<SliceChunk> SliceChunks;
+  ChunkDir<SymChunk> SymChunks;
+  ChunkDir<FPRowChunk> FPRowChunks;
+  ChunkDir<FPSliceChunk> FPSliceChunks;
 
-  /// Content hash -> slice ids with that hash (collision list).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> InternMap;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> FPInternMap;
+  InternTable Interned;
+  InternTable FPInterned;
   std::unordered_map<const Value *, uint32_t> SymIds;
 
   /// Scratch symbol-ordinal buffers for the row being interned (guarded

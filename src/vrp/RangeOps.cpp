@@ -356,9 +356,11 @@ ValueRange RangeOps::binaryNumeric(
     return ValueRange::top();
   if (!L.isRanges() || !R.isRanges())
     return ValueRange::bottom();
-  const RangeArena &Arena = RangeArena::global();
-  RangeArena::Rows LRows = Arena.rows(L.sliceId());
-  RangeArena::Rows RRows = Arena.rows(R.sliceId());
+  // Each operand is read through its own arena.
+  SubRangeView LView = L.subRanges();
+  SubRangeView RView = R.subRanges();
+  const RangeArena::Rows &LRows = LView.rawRows();
+  const RangeArena::Rows &RRows = RView.rawRows();
   Scratch.clear();
   const bool Fast = LRows.AllNumeric && RRows.AllNumeric;
   telemetry::count(Fast ? telemetry::Counter::RangeKernelFastPath
@@ -379,15 +381,9 @@ ValueRange RangeOps::binaryNumeric(
     }
   } else {
     for (uint32_t I = 0; I < LRows.Count; ++I) {
-      SubRange A(LRows.Prob[I],
-                 Bound(Arena.symValue(LRows.LoSym[I]), LRows.LoOff[I]),
-                 Bound(Arena.symValue(LRows.HiSym[I]), LRows.HiOff[I]),
-                 LRows.Stride[I]);
+      SubRange A = LView[I];
       for (uint32_t J = 0; J < RRows.Count; ++J) {
-        SubRange B(RRows.Prob[J],
-                   Bound(Arena.symValue(RRows.LoSym[J]), RRows.LoOff[J]),
-                   Bound(Arena.symValue(RRows.HiSym[J]), RRows.HiOff[J]),
-                   RRows.Stride[J]);
+        SubRange B = RView[J];
         ++Stats.SubOps;
         if (!(this->*PairOp)(A, B, Scratch))
           return ValueRange::bottom();

@@ -218,10 +218,7 @@ ValueRange ValueRange::canonicalize(std::vector<SubRange> &Subs,
     std::sort(Subs.begin(), Subs.end(), Less);
   }
 
-  ValueRange R;
-  R.TheKind = Kind::Ranges;
-  R.SliceId = RangeArena::global().intern(
-      Subs.data(), static_cast<uint32_t>(Subs.size()));
+  ValueRange R = interned(Kind::Ranges, Subs.data(), Subs.size());
   R.assertNormalized();
   return R;
 }
@@ -274,11 +271,7 @@ ValueRange ValueRange::canonicalizeFP(std::vector<FPInterval> &Subs,
     if (!(NaNMass > 0.0))
       return bottom();
     // The pure-NaN range: no intervals, all mass on NaN.
-    ValueRange R;
-    R.TheKind = Kind::FloatRanges;
-    R.FloatVal = 1.0;
-    R.SliceId = RangeArena::global().internFP(nullptr, 0, 1.0);
-    return R;
+    return internedFP(nullptr, 0, 1.0);
   }
 
   // Canonical order (no NaNs or -0.0 remain, so < is a total order),
@@ -340,11 +333,7 @@ ValueRange ValueRange::canonicalizeFP(std::vector<FPInterval> &Subs,
   if (Subs.size() == 1 && Subs[0].Lo == Subs[0].Hi && !(NaNMass > 0.0))
     return floatConstant(Subs[0].Lo);
 
-  ValueRange R;
-  R.TheKind = Kind::FloatRanges;
-  R.FloatVal = NaNMass;
-  R.SliceId = RangeArena::global().internFP(
-      Subs.data(), static_cast<uint32_t>(Subs.size()), NaNMass);
+  ValueRange R = internedFP(Subs.data(), Subs.size(), NaNMass);
   R.assertNormalized();
   return R;
 }
@@ -354,22 +343,36 @@ ValueRange ValueRange::floatRanges(std::vector<FPInterval> Subs,
   return canonicalizeFP(Subs, NaNMass, MaxSubRanges);
 }
 
-ValueRange ValueRange::intConstant(int64_t V) {
-  // Interned directly: historically this constructor bypassed ranges()'s
-  // normalization pipeline, and the canonical single row needs none.
+ValueRange ValueRange::interned(Kind K, const SubRange *Subs, size_t N) {
+  RangeArena &A = RangeArena::current();
   ValueRange R;
-  R.TheKind = Kind::Ranges;
-  SubRange S = SubRange::singleton(1.0, V);
-  R.SliceId = RangeArena::global().intern(&S, 1);
+  R.TheKind = K;
+  R.ArenaId = A.id();
+  R.SliceId = A.intern(Subs, static_cast<uint32_t>(N));
   return R;
 }
 
-ValueRange ValueRange::fullIntRange() {
+ValueRange ValueRange::internedFP(const FPInterval *Subs, size_t N,
+                                  double NaNMass) {
+  RangeArena &A = RangeArena::current();
   ValueRange R;
-  R.TheKind = Kind::Ranges;
-  SubRange S = SubRange::numeric(1.0, Int64Min, Int64Max, 1);
-  R.SliceId = RangeArena::global().intern(&S, 1);
+  R.TheKind = Kind::FloatRanges;
+  R.FloatVal = NaNMass;
+  R.ArenaId = A.id();
+  R.SliceId = A.internFP(Subs, static_cast<uint32_t>(N), NaNMass);
   return R;
+}
+
+ValueRange ValueRange::intConstant(int64_t V) {
+  // Interned directly: historically this constructor bypassed ranges()'s
+  // normalization pipeline, and the canonical single row needs none.
+  SubRange S = SubRange::singleton(1.0, V);
+  return interned(Kind::Ranges, &S, 1);
+}
+
+ValueRange ValueRange::fullIntRange() {
+  SubRange S = SubRange::numeric(1.0, Int64Min, Int64Max, 1);
+  return interned(Kind::Ranges, &S, 1);
 }
 
 ValueRange ValueRange::weightedBool(double ProbTrue) {
@@ -383,9 +386,9 @@ ValueRange ValueRange::weightedBool(double ProbTrue) {
 }
 
 std::optional<int64_t> ValueRange::asIntConstant() const {
-  if (TheKind != Kind::Ranges)
+  if (TheKind != Kind::Ranges || SliceId == 0)
     return std::nullopt;
-  RangeArena::Rows R = RangeArena::global().rows(SliceId);
+  RangeArena::Rows R = arena().rows(SliceId);
   if (R.Count != 1 || R.LoSym[0] != 0 || R.HiSym[0] != 0)
     return std::nullopt;
   if (R.LoOff[0] != R.HiOff[0])
@@ -394,15 +397,44 @@ std::optional<int64_t> ValueRange::asIntConstant() const {
 }
 
 const Value *ValueRange::asCopyOf() const {
-  if (TheKind != Kind::Ranges)
+  if (TheKind != Kind::Ranges || SliceId == 0)
     return nullptr;
-  RangeArena::Rows R = RangeArena::global().rows(SliceId);
+  RangeArena::Rows R = arena().rows(SliceId);
   if (R.Count != 1)
     return nullptr;
   if (R.LoSym[0] != 0 && R.LoSym[0] == R.HiSym[0] && R.LoOff[0] == 0 &&
       R.HiOff[0] == 0)
-    return RangeArena::global().symValue(R.LoSym[0]);
+    return arena().symValue(R.LoSym[0]);
   return nullptr;
+}
+
+bool ValueRange::sameSlice(const ValueRange &RHS) const {
+  return SliceId == RHS.SliceId && ArenaId == RHS.ArenaId;
+}
+
+bool ValueRange::rowsMatch(const ValueRange &RHS,
+                           double ProbTolerance) const {
+  SubRangeView VA = subRanges();
+  SubRangeView VB = RHS.subRanges();
+  const RangeArena::Rows &A = VA.rawRows();
+  const RangeArena::Rows &B = VB.rawRows();
+  if (A.Count != B.Count)
+    return false;
+  // Symbol ordinals are numbered per arena: across two arenas, compare
+  // the values they name.
+  bool SameArena = ArenaId == RHS.ArenaId;
+  for (uint32_t I = 0; I < A.Count; ++I) {
+    if (A.LoOff[I] != B.LoOff[I] || A.HiOff[I] != B.HiOff[I] ||
+        A.Stride[I] != B.Stride[I])
+      return false;
+    if (SameArena ? (A.LoSym[I] != B.LoSym[I] || A.HiSym[I] != B.HiSym[I])
+                  : !VA[I].sameShape(VB[I]))
+      return false;
+    if (ProbTolerance >= 0.0 &&
+        std::abs(A.Prob[I] - B.Prob[I]) > ProbTolerance)
+      return false;
+  }
+  return true;
 }
 
 bool ValueRange::equals(const ValueRange &RHS, double Tolerance) const {
@@ -415,8 +447,8 @@ bool ValueRange::equals(const ValueRange &RHS, double Tolerance) const {
   case Kind::FloatConst:
     return FloatVal == RHS.FloatVal;
   case Kind::FloatRanges: {
-    if (SliceId == RHS.SliceId)
-      return true; // Interned: same id, bitwise-identical content.
+    if (sameSlice(RHS))
+      return true; // Interned: same slice, bitwise-identical content.
     FPIntervalView A = fpIntervals();
     FPIntervalView B = RHS.fpIntervals();
     if (A.size() != B.size())
@@ -434,21 +466,9 @@ bool ValueRange::equals(const ValueRange &RHS, double Tolerance) const {
   case Kind::Ranges:
     break;
   }
-  if (SliceId == RHS.SliceId)
-    return true; // Interned: same id, bitwise-identical content.
-  RangeArena::Rows A = RangeArena::global().rows(SliceId);
-  RangeArena::Rows B = RangeArena::global().rows(RHS.SliceId);
-  if (A.Count != B.Count)
-    return false;
-  for (uint32_t I = 0; I < A.Count; ++I) {
-    if (A.LoSym[I] != B.LoSym[I] || A.LoOff[I] != B.LoOff[I] ||
-        A.HiSym[I] != B.HiSym[I] || A.HiOff[I] != B.HiOff[I] ||
-        A.Stride[I] != B.Stride[I])
-      return false;
-    if (std::abs(A.Prob[I] - B.Prob[I]) > Tolerance)
-      return false;
-  }
-  return true;
+  if (sameSlice(RHS))
+    return true; // Interned: same slice, bitwise-identical content.
+  return rowsMatch(RHS, Tolerance);
 }
 
 bool ValueRange::sameSupport(const ValueRange &RHS) const {
@@ -457,7 +477,7 @@ bool ValueRange::sameSupport(const ValueRange &RHS) const {
   if (TheKind == Kind::FloatConst)
     return FloatVal == RHS.FloatVal;
   if (TheKind == Kind::FloatRanges) {
-    if (SliceId == RHS.SliceId)
+    if (sameSlice(RHS))
       return true;
     FPIntervalView A = fpIntervals();
     FPIntervalView B = RHS.fpIntervals();
@@ -473,18 +493,7 @@ bool ValueRange::sameSupport(const ValueRange &RHS) const {
   }
   if (TheKind != Kind::Ranges)
     return true;
-  if (SliceId == RHS.SliceId)
-    return true;
-  RangeArena::Rows A = RangeArena::global().rows(SliceId);
-  RangeArena::Rows B = RangeArena::global().rows(RHS.SliceId);
-  if (A.Count != B.Count)
-    return false;
-  for (uint32_t I = 0; I < A.Count; ++I)
-    if (A.LoSym[I] != B.LoSym[I] || A.LoOff[I] != B.LoOff[I] ||
-        A.HiSym[I] != B.HiSym[I] || A.HiOff[I] != B.HiOff[I] ||
-        A.Stride[I] != B.Stride[I])
-      return false;
-  return true;
+  return sameSlice(RHS) || rowsMatch(RHS, -1.0);
 }
 
 std::optional<double> ValueRange::probNonZero() const {

@@ -15,13 +15,15 @@
 /// level so value range propagation subsumes constant propagation for
 /// floats too.
 ///
-/// Storage: a ValueRange is a 16-byte handle `{kind, dist flag, arena
-/// slice id, float payload}`. The subrange rows live in the process-wide
-/// RangeArena (SoA columns, interned module-wide), so copying a range is
+/// Storage: a ValueRange is a 16-byte handle `{kind, dist flag, arena id,
+/// slice id, float payload}`. The subrange rows live in the analysis's
+/// RangeArena (SoA columns, interned per arena), so copying a range is
 /// trivial, identical canonical sets share storage, and equality has an
-/// id-comparison fast path. `subRanges()` returns a lightweight view that
-/// materializes `SubRange` values on demand and converts implicitly to
-/// `std::vector<SubRange>` for call sites that need a container.
+/// id-comparison fast path. A handle is valid while its arena lives,
+/// which for an analysis result is as long as the result does.
+/// `subRanges()` returns a lightweight view that materializes `SubRange`
+/// values on demand and converts implicitly to `std::vector<SubRange>`
+/// for call sites that need a container.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,12 +126,12 @@ struct SubRange {
 /// A read-only view over one arena slice's subranges. Materializes
 /// `SubRange` values on demand from the SoA columns; converts implicitly
 /// to `std::vector<SubRange>` where a container is required. The view is
-/// valid for the process lifetime (arena storage is never freed).
+/// valid while its arena lives.
 class SubRangeView {
 public:
   SubRangeView() = default;
-  explicit SubRangeView(uint32_t SliceId)
-      : R(RangeArena::global().rows(SliceId)) {}
+  SubRangeView(const RangeArena &Arena, uint32_t SliceId)
+      : R(Arena.rows(SliceId)), A(&Arena) {}
 
   size_t size() const { return R.Count; }
   bool empty() const { return R.Count == 0; }
@@ -138,10 +140,9 @@ public:
   bool allNumeric() const { return R.AllNumeric; }
 
   SubRange operator[](size_t I) const {
-    const RangeArena &A = RangeArena::global();
     return SubRange(R.Prob[I],
-                    Bound(A.symValue(R.LoSym[I]), R.LoOff[I]),
-                    Bound(A.symValue(R.HiSym[I]), R.HiOff[I]), R.Stride[I]);
+                    Bound(A->symValue(R.LoSym[I]), R.LoOff[I]),
+                    Bound(A->symValue(R.HiSym[I]), R.HiOff[I]), R.Stride[I]);
   }
   SubRange front() const { return (*this)[0]; }
   SubRange back() const { return (*this)[R.Count - 1]; }
@@ -184,16 +185,16 @@ public:
 
 private:
   RangeArena::Rows R;
+  const RangeArena *A = nullptr;
 };
 
 /// A read-only view over one FP arena slice's weighted intervals plus its
-/// NaN mass. Valid for the process lifetime (arena storage is never
-/// freed).
+/// NaN mass. Valid while its arena lives.
 class FPIntervalView {
 public:
   FPIntervalView() = default;
-  explicit FPIntervalView(uint32_t SliceId)
-      : R(RangeArena::global().fpRows(SliceId)) {}
+  FPIntervalView(const RangeArena &Arena, uint32_t SliceId)
+      : R(Arena.fpRows(SliceId)) {}
 
   size_t size() const { return R.Count; }
   bool empty() const { return R.Count == 0; }
@@ -222,7 +223,7 @@ private:
 
 /// The lattice value attached to every SSA variable during propagation.
 /// A 16-byte trivially-copyable handle; subrange storage lives in the
-/// interned RangeArena.
+/// RangeArena named by the handle's arena id.
 class ValueRange {
 public:
   enum class Kind : uint8_t {
@@ -291,12 +292,9 @@ public:
   /// be the identity on its own output's field order.
   static ValueRange restored(Kind K, double FloatVal, bool DistKnown,
                              std::vector<SubRange> Subs) {
-    ValueRange R;
-    R.TheKind = K;
+    ValueRange R = interned(K, Subs.data(), Subs.size());
     R.FloatVal = FloatVal;
     R.DistKnown = DistKnown;
-    R.SliceId = RangeArena::global().intern(
-        Subs.data(), static_cast<uint32_t>(Subs.size()));
     return R;
   }
 
@@ -304,12 +302,8 @@ public:
   /// verbatim for the PersistentCache deserializer.
   static ValueRange restoredFP(double NaNMass, bool DistKnown,
                                std::vector<FPInterval> Subs) {
-    ValueRange R;
-    R.TheKind = Kind::FloatRanges;
-    R.FloatVal = NaNMass;
+    ValueRange R = internedFP(Subs.data(), Subs.size(), NaNMass);
     R.DistKnown = DistKnown;
-    R.SliceId = RangeArena::global().internFP(
-        Subs.data(), static_cast<uint32_t>(Subs.size()), NaNMass);
     return R;
   }
 
@@ -343,22 +337,30 @@ public:
 
   /// The FP interval set as an on-demand view over the FP arena slice.
   /// Meaningful only for FloatRanges values.
-  FPIntervalView fpIntervals() const { return FPIntervalView(SliceId); }
+  FPIntervalView fpIntervals() const {
+    return SliceId ? FPIntervalView(arena(), SliceId) : FPIntervalView();
+  }
 
   /// The subrange set as an on-demand view over the arena slice.
-  SubRangeView subRanges() const { return SubRangeView(SliceId); }
+  SubRangeView subRanges() const {
+    return SliceId ? SubRangeView(arena(), SliceId) : SubRangeView();
+  }
 
   /// The arena slice id (0 for non-Ranges kinds). Two Ranges values with
-  /// equal ids are bitwise-identical sets; unequal ids may still compare
-  /// equal under `equals()`'s probability tolerance.
+  /// equal (arena, slice) pairs are bitwise-identical sets; unequal pairs
+  /// may still compare equal under `equals()`.
   uint32_t sliceId() const { return SliceId; }
+
+  /// The id of the arena holding the slice (meaningful when sliceId() is
+  /// nonzero).
+  uint16_t arenaId() const { return ArenaId; }
 
   /// True when every subrange bound is numeric (O(1), cached per slice).
   /// Non-Ranges kinds are trivially numeric (FP intervals never carry
   /// symbolic bounds; their slice ids live in the FP id space).
   bool allNumeric() const {
-    return TheKind != Kind::Ranges ||
-           RangeArena::global().sliceAllNumeric(SliceId);
+    return TheKind != Kind::Ranges || SliceId == 0 ||
+           arena().sliceAllNumeric(SliceId);
   }
 
   /// If the range is a single integer constant {1[c:c:0]}, returns it.
@@ -394,8 +396,26 @@ public:
   std::string str() const;
 
 private:
+  /// A \p K handle for \p N rows interned into the current arena.
+  static ValueRange interned(Kind K, const SubRange *Subs, size_t N);
+  /// A FloatRanges handle for FP content interned into the current arena.
+  static ValueRange internedFP(const FPInterval *Subs, size_t N,
+                               double NaNMass);
+
+  /// The arena holding the slice; valid only when SliceId != 0.
+  const RangeArena &arena() const { return RangeArena::byId(ArenaId); }
+
+  /// Same (arena, slice) pair: bitwise-identical content. The slice id
+  /// alone proves nothing across arenas.
+  bool sameSlice(const ValueRange &RHS) const;
+  /// Row-by-row comparison of two Ranges slices: shapes exactly, and
+  /// probabilities within \p ProbTolerance unless it is negative.
+  bool rowsMatch(const ValueRange &RHS, double ProbTolerance) const;
+
   Kind TheKind;
   bool DistKnown = true;
+  /// Fills the padding after DistKnown, keeping the handle at 16 bytes.
+  uint16_t ArenaId = 0;
   uint32_t SliceId = 0;
   double FloatVal = 0.0;
 };

@@ -401,6 +401,44 @@ TEST(PropagationTest, DefaultRetryLimitRidesOutTransientNotYet) {
   EXPECT_FALSE(R.Degraded);
 }
 
+//===----------------------------------------------------------------------===//
+// Weight oscillation guard (ProbUpdateLimit in Propagation.cpp)
+//===----------------------------------------------------------------------===//
+
+// The doubling φ of the last loop has the fixed support {6, 12, 24}, but
+// its weights, fed back through the `v < 17` branch, cycle without end:
+// the widening guard counts support growth only, so without a limit on
+// weight-only updates propagation never terminates.
+const char *WeightCycleSource = R"(
+  fn main() {
+    var n = 25;
+    var v = 6;
+    for (var i = 0; i < 56; i = i + 1) {
+      for (var j = 0; j < n; j = j + 1) {
+      }
+    }
+    for (var k = 0; k < 46; k = k + 2) {
+      if (v < 17) {
+        v = v + v;
+      }
+    }
+    return v;
+  }
+)";
+
+TEST(PropagationTest, WeightCycleTerminates) {
+  // The step budget is only a safety net: the weight-update limit must
+  // end the cycle long before it, keeping the ranges.
+  VRPOptions Opts;
+  Opts.Budget.PropagationStepLimit = 1000000;
+  Analyzed A = analyze(WeightCycleSource, Opts);
+  ASSERT_TRUE(A.Main);
+  EXPECT_FALSE(A.Result.Degraded);
+  EXPECT_FALSE(A.Result.Branches.empty());
+  for (const auto &[Branch, Pred] : A.Result.Branches)
+    EXPECT_TRUE(Pred.FromRanges);
+}
+
 TEST(PropagationTest, PredictionsAgreeWithExecutionOnClosedProgram) {
   const char *Source = R"(
     fn main() {

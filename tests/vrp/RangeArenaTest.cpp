@@ -1,0 +1,288 @@
+//===- tests/vrp/RangeArenaTest.cpp - Per-analysis range arenas -----------===//
+//
+// Part of the VRP reproduction of Patterson, PLDI 1995.
+//
+// Range storage belongs to the analysis that made it: handles from two
+// arenas compare by content, a result keeps its storage alive past later
+// analyses, an incremental result outlives its predecessor, incremental
+// runs from one base share what each adds to its arena, and no entry
+// point leaks an arena or writes to the process default arena.
+//
+//===----------------------------------------------------------------------===//
+
+#include "analysis/PersistentCache.h"
+#include "benchsuite/Programs.h"
+#include "benchsuite/Synthetic.h"
+#include "driver/Pipeline.h"
+#include "eval/SuiteRunner.h"
+#include "serve/Service.h"
+#include "support/Telemetry.h"
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+using namespace vrp;
+
+namespace {
+
+std::unique_ptr<CompiledProgram> compile(const std::string &Source) {
+  DiagnosticEngine Diags;
+  auto C = compileToSSA(Source, Diags, VRPOptions());
+  EXPECT_TRUE(C) << Diags.firstError();
+  return C;
+}
+
+VRPOptions interprocOpts() {
+  VRPOptions Opts;
+  Opts.Interprocedural = true;
+  return Opts;
+}
+
+/// Every function's exact serialization, by name.
+std::map<std::string, std::string> serializeAll(const Module &M,
+                                                const ModuleVRPResult &R) {
+  std::map<std::string, std::string> Out;
+  for (const auto &F : M.functions()) {
+    const FunctionVRPResult *FR = R.forFunction(F.get());
+    EXPECT_NE(FR, nullptr) << F->name();
+    if (FR)
+      Out[F->name()] = PersistentCache::serialize(*FR);
+  }
+  return Out;
+}
+
+ValueRange numeric(int64_t Lo, int64_t Hi) {
+  return ValueRange::ranges({SubRange::numeric(1.0, Lo, Hi, 1)}, 4);
+}
+
+SyntheticModuleConfig depthBounded(unsigned NumFunctions, uint64_t Seed) {
+  SyntheticModuleConfig Cfg;
+  Cfg.NumFunctions = NumFunctions;
+  Cfg.Seed = Seed;
+  // Cold and incremental results are bitwise equal only when the
+  // refinement converges inside the per-function budget.
+  Cfg.Layers = 3;
+  return Cfg;
+}
+
+TEST(RangeArenaTest, EqualsComparesContentAcrossArenas) {
+  auto A = std::make_shared<RangeArena>();
+  auto B = std::make_shared<RangeArena>();
+  ValueRange InA, OtherInB, SameInB;
+  {
+    RangeArena::Scope S(A);
+    InA = numeric(0, 9);
+  }
+  {
+    RangeArena::Scope S(B);
+    OtherInB = numeric(20, 29);
+    SameInB = numeric(0, 9);
+  }
+  // Both arenas handed out their first slice id: the ids collide, the
+  // contents do not.
+  ASSERT_EQ(InA.sliceId(), OtherInB.sliceId());
+  ASSERT_NE(InA.arenaId(), OtherInB.arenaId());
+  EXPECT_FALSE(InA.equals(OtherInB));
+  EXPECT_FALSE(InA.sameSupport(OtherInB));
+  // Equal content in two arenas is equal.
+  EXPECT_TRUE(InA.equals(SameInB, 0.0));
+  EXPECT_TRUE(InA.sameSupport(SameInB));
+}
+
+TEST(RangeArenaTest, SymbolsCompareByValueAcrossArenas) {
+  Param N(IRType::Int, "n", 0, nullptr), M(IRType::Int, "m", 1, nullptr);
+  auto symRange = [](const Value *Sym) {
+    return ValueRange::ranges(
+        {SubRange(1.0, Bound(Sym, 0), Bound(Sym, 4), 1)}, 4);
+  };
+  auto A = std::make_shared<RangeArena>();
+  auto B = std::make_shared<RangeArena>();
+  ValueRange NInA, NInB, MInB;
+  {
+    RangeArena::Scope S(A);
+    NInA = symRange(&N); // n is symbol 1 in A...
+  }
+  {
+    RangeArena::Scope S(B);
+    MInB = symRange(&M); // ...but m is symbol 1 in B and n is symbol 2.
+    NInB = symRange(&N);
+  }
+  EXPECT_TRUE(NInA.equals(NInB, 0.0));
+  EXPECT_TRUE(NInA.sameSupport(NInB));
+  EXPECT_FALSE(NInA.equals(MInB));
+  EXPECT_FALSE(NInA.sameSupport(MInB));
+}
+
+TEST(RangeArenaTest, RunningOutOfArenaIdsStopsTheProgram) {
+  // Ids are 16 bits wide: a wrapped id would alias a live arena's
+  // handles, so the 65536th live arena is a hard stop in every build.
+  EXPECT_DEATH(
+      {
+        std::vector<std::unique_ptr<RangeArena>> Alive;
+        for (unsigned I = 0; I <= (1u << 16); ++I)
+          Alive.push_back(std::make_unique<RangeArena>());
+      },
+      "more than 65535 arenas alive at once");
+}
+
+TEST(RangeArenaTest, ResultKeepsItsRangesAcrossLaterAnalyses) {
+  auto C = compile(makeSyntheticModule(depthBounded(40, 5)));
+  ModuleVRPResult Kept = runModuleVRP(*C->IR, interprocOpts());
+  std::map<std::string, std::string> Before = serializeAll(*C->IR, Kept);
+
+  for (uint64_t Seed : {6, 7, 8}) {
+    auto Other = compile(makeSyntheticModule(depthBounded(40, Seed)));
+    ModuleVRPResult R = runModuleVRP(*Other->IR, interprocOpts());
+    EXPECT_NE(R.Arena, Kept.Arena);
+  }
+  EXPECT_EQ(serializeAll(*C->IR, Kept), Before);
+}
+
+TEST(RangeArenaTest, StandaloneResultOwnsItsArena) {
+  auto C = compile(makeSyntheticModule(depthBounded(10, 3)));
+  const Function *F = C->IR->functions().front().get();
+  uint64_t DefaultInterns = RangeArena::defaultArena().interns();
+  unsigned Live = RangeArena::liveCount();
+  std::string Bytes;
+  {
+    FunctionVRPResult R = propagateRanges(*F, VRPOptions());
+    ASSERT_NE(R.Arena, nullptr);
+    EXPECT_EQ(RangeArena::liveCount(), Live + 1);
+    Bytes = PersistentCache::serialize(R);
+    FunctionVRPResult Restored;
+    ASSERT_TRUE(PersistentCache::deserialize(Bytes, *F, Restored));
+    EXPECT_NE(Restored.Arena, R.Arena);
+    EXPECT_EQ(PersistentCache::serialize(Restored), Bytes);
+  }
+  EXPECT_EQ(RangeArena::liveCount(), Live);
+  EXPECT_EQ(RangeArena::defaultArena().interns(), DefaultInterns);
+}
+
+TEST(RangeArenaTest, IncrementalResultOutlivesItsPredecessor) {
+  SyntheticModuleConfig Base = depthBounded(60, 23);
+  SyntheticModuleConfig Mutated = Base;
+  Mutated.MutateCount = 3;
+  const std::string NextSource = makeSyntheticModule(Mutated);
+
+  auto Next = compile(NextSource);
+  ModuleVRPResult Inc;
+  {
+    auto Prev = compile(makeSyntheticModule(Base));
+    ModuleVRPResult PrevR = runModuleVRP(*Prev->IR, interprocOpts());
+    Inc = runModuleVRPIncremental(*Next->IR, interprocOpts(), *Prev->IR,
+                                  PrevR);
+    // The run continued in its predecessor's arena.
+    EXPECT_EQ(Inc.Arena, PrevR.Arena);
+    EXPECT_LT(Inc.FunctionsReanalyzed, Next->IR->functions().size());
+  } // The previous result and its module die here.
+
+  auto Cold = compile(NextSource);
+  ModuleVRPResult ColdR = runModuleVRP(*Cold->IR, interprocOpts());
+  EXPECT_EQ(serializeAll(*Next->IR, Inc), serializeAll(*Cold->IR, ColdR));
+}
+
+TEST(RangeArenaTest, IncrementalRunsFromOneBaseShareTheirAdditions) {
+  // qsort's loops carry symbolic bounds (i <= j, i < n). Symbolic slices
+  // are never deduplicated, so every run interns them anew.
+  const BenchmarkProgram *QSort = findProgram("qsort");
+  ASSERT_NE(QSort, nullptr);
+  std::string NextSource = QSort->Source;
+  const std::string Old = "rnd() % 100000";
+  const size_t At = NextSource.find(Old);
+  ASSERT_NE(At, std::string::npos);
+  NextSource.replace(At, Old.size(), "rnd() % 99999");
+
+  auto Base = compile(QSort->Source);
+  ModuleVRPResult BaseR = runModuleVRP(*Base->IR, interprocOpts());
+  auto Cold = compile(NextSource);
+  const std::map<std::string, std::string> ColdBytes =
+      serializeAll(*Cold->IR, runModuleVRP(*Cold->IR, interprocOpts()));
+
+  struct Interns {
+    uint64_t Hits, Misses, PayloadBytes;
+  };
+  auto incrementalRun = [&] {
+    auto Next = compile(NextSource);
+    telemetry::reset();
+    telemetry::setEnabled(true);
+    ModuleVRPResult Inc = runModuleVRPIncremental(*Next->IR, interprocOpts(),
+                                                  *Base->IR, BaseR);
+    telemetry::Snapshot S = telemetry::snapshot();
+    telemetry::setEnabled(false);
+    EXPECT_EQ(Inc.Arena, BaseR.Arena);
+    EXPECT_GT(Inc.FunctionsReanalyzed, 0u);
+    EXPECT_EQ(serializeAll(*Next->IR, Inc), ColdBytes);
+    return Interns{S.counter(telemetry::Counter::RangeInternHits),
+                   S.counter(telemetry::Counter::RangeInternMisses),
+                   S.counter(telemetry::Counter::RangeArenaPayloadBytes)};
+  };
+  const Interns First = incrementalRun();
+  const Interns Second = incrementalRun();
+  const Interns Third = incrementalRun();
+
+  // Identical runs intern the same contents...
+  EXPECT_EQ(Second.Hits + Second.Misses, First.Hits + First.Misses);
+  // ...but the second finds the numeric contents the first one added to
+  // the base's arena, so its counters depend on the runs before it.
+  EXPECT_LT(Second.Misses, First.Misses);
+  EXPECT_LT(Second.PayloadBytes, First.PayloadBytes);
+  // What still misses are the symbolic slices: each run adds them again,
+  // so the base's arena grows by the same amount per run while it lives.
+  EXPECT_GT(Second.Misses, 0u);
+  EXPECT_EQ(Third.Misses, Second.Misses);
+  EXPECT_EQ(Third.PayloadBytes, Second.PayloadBytes);
+}
+
+TEST(RangeArenaTest, EntryPointsFreeTheirArenasAndLeaveTheDefaultAlone) {
+  const RangeArena &Default = RangeArena::defaultArena();
+  const unsigned Live = RangeArena::liveCount();
+  const uint64_t DefaultInterns = Default.interns();
+
+  {
+    auto Prev = compile(makeSyntheticModule(depthBounded(30, 41)));
+    SyntheticModuleConfig Mutated = depthBounded(30, 41);
+    Mutated.MutateCount = 2;
+    auto Next = compile(makeSyntheticModule(Mutated));
+    ModuleVRPResult PrevR = runModuleVRP(*Prev->IR, interprocOpts());
+    ModuleVRPResult Inc = runModuleVRPIncremental(
+        *Next->IR, interprocOpts(), *Prev->IR, PrevR);
+    EXPECT_EQ(RangeArena::liveCount(), Live + 1);
+    // Reads that intern a constant's range write to the result's arena.
+    for (const auto &F : Next->IR->functions())
+      for (const auto &B : F->blocks())
+        for (const auto &I : B->instructions())
+          for (unsigned Op = 0; Op < I->numOperands(); ++Op)
+            (void)Inc.forFunction(F.get())->rangeOf(I->operand(Op));
+  }
+  EXPECT_EQ(RangeArena::liveCount(), Live);
+
+  std::vector<const BenchmarkProgram *> Programs = allPrograms();
+  Programs.resize(3);
+  VRPOptions Opts = interprocOpts();
+  Opts.Audit = true;
+  SuiteEvaluation Suite = evaluateSuite(Programs, Opts);
+  EXPECT_EQ(Suite.Benchmarks.size(), 3u);
+  EXPECT_EQ(RangeArena::liveCount(), Live);
+
+  Status Why;
+  std::unique_ptr<serve::Service> Service =
+      serve::Service::create(serve::ServiceConfig(), &Why);
+  ASSERT_NE(Service, nullptr);
+  serve::Request Req;
+  Req.Id = 1;
+  Req.Method = "predict";
+  Req.Source = Programs.front()->Source;
+  Req.DumpRanges = true;
+  EXPECT_EQ(Service->handle(Req).Status, serve::RespStatus::Ok);
+  Req.Method = "analyze";
+  EXPECT_EQ(Service->handle(Req).Status, serve::RespStatus::Ok);
+  EXPECT_EQ(RangeArena::liveCount(), Live);
+
+  EXPECT_EQ(Default.interns(), DefaultInterns);
+}
+
+} // namespace
