@@ -47,8 +47,6 @@ using namespace vrp;
 
 namespace {
 
-constexpr unsigned Threads = 4;
-
 double wallSeconds(std::chrono::steady_clock::time_point Start,
                    std::chrono::steady_clock::time_point End) {
   return std::chrono::duration<double>(End - Start).count();
@@ -57,7 +55,6 @@ double wallSeconds(std::chrono::steady_clock::time_point Start,
 VRPOptions interprocOpts() {
   VRPOptions Opts;
   Opts.Interprocedural = true;
-  Opts.Threads = Threads;
   return Opts;
 }
 
@@ -119,8 +116,7 @@ int main() {
   }
 
   std::cout << "==== Whole-module scheduler scaling ====\n\n"
-            << "threads: " << Threads << (Full ? " (full sweep)" : "")
-            << "\n\n";
+            << (Full ? "full sweep\n\n" : "");
 
   // Warm the interned-constant pool and allocator outside the timings.
   {
@@ -279,7 +275,6 @@ int main() {
 
   std::ofstream Json("BENCH_module_scaling.json");
   Json << "{\n  \"bench\": \"module_scaling\",\n"
-       << "  \"threads\": " << Threads << ",\n"
        << "  \"full_sweep\": " << (Full ? "true" : "false") << ",\n"
        << "  \"linearity\": [\n";
   for (size_t I = 0; I < Curve.size(); ++I) {

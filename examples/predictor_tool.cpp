@@ -119,9 +119,10 @@ void printUsage() {
                "                      [--module-scale=N [--module-seed=S] "
                "[--module-layers=L]\n                       [--mutate=K] "
                "[--incremental]] [file.vl]\n"
-               "  --threads=N   fan functions out over N workers during "
-               "propagation\n                (0 = all hardware threads; "
-               "results are identical at any N)\n"
+               "  --threads=N   with --suite, evaluate N benchmarks at once "
+               "(0 = all\n                hardware threads; results are "
+               "identical at any N); a single\n                file or "
+               "--module-scale module is analyzed on one thread\n"
                "  --budget=N    cap propagation at N worklist steps per "
                "function;\n                exhausted functions degrade to "
                "the heuristic fallback\n"

@@ -10,16 +10,18 @@ ctest --test-dir build --output-on-failure
 # process must stay within 10% of RSS after 5.
 for b in build/bench/*; do "$b"; done
 
-# Parallel-engine checks under ThreadSanitizer: a separate build dir so
-# instrumented objects never mix with the main build. Covers the worker
-# pool itself, the Threads=1-vs-Threads=4 determinism contract, and the
-# SCC scheduler at 4 threads, whose pool tasks intern into the analysis's
-# shared range arena.
+# Cross-thread checks under ThreadSanitizer: a separate build dir so
+# instrumented objects never mix with the main build. An analysis runs on
+# one thread, so what is left to check is the worker pool itself, the
+# suite fan-out's Threads=1-vs-Threads=4 determinism contract,
+# predictord's request workers sharing one Service (its response memo
+# and persistent cache), and concurrent readers of one finished result,
+# whose constant reads intern into its range arena.
 cmake -B build-tsan -G Ninja -DVRP_SANITIZE=thread
 cmake --build build-tsan --target SupportTest ParallelDeterminismTest \
-  SccSchedulerTest
+  ServerTest RangeArenaTest
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelDeterminism|SccScheduler'
+  -R 'ThreadPool|ParallelDeterminism|ServerTest|RangeArenaTest.ConcurrentReaders'
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
 # corpus, the fault-injection suite, the structured-error paths, the

@@ -10,113 +10,72 @@
 
 using namespace vrp;
 
-AnalysisCache::Entry &AnalysisCache::entryFor(const Function &F) {
-  std::lock_guard<std::mutex> Lock(MapMutex);
-  std::unique_ptr<Entry> &Slot = Entries[&F];
-  if (!Slot)
-    Slot = std::make_unique<Entry>();
-  return *Slot;
-}
-
 void AnalysisCache::count(bool Hit) {
   if (Hit) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
+    ++Stats.Hits;
     telemetry::count(telemetry::Counter::AnalysisCacheHits);
   } else {
-    Misses.fetch_add(1, std::memory_order_relaxed);
+    ++Stats.Misses;
     telemetry::count(telemetry::Counter::AnalysisCacheMisses);
   }
 }
 
-const DominatorTree &AnalysisCache::ensureDominators(Entry &E,
-                                                     const Function &F) {
-  count(E.DT != nullptr);
-  if (!E.DT)
-    E.DT = std::make_unique<DominatorTree>(F);
-  return *E.DT;
-}
-
-const PostDominatorTree &
-AnalysisCache::ensurePostDominators(Entry &E, const Function &F) {
-  count(E.PDT != nullptr);
-  if (!E.PDT)
-    E.PDT = std::make_unique<PostDominatorTree>(F);
-  return *E.PDT;
-}
-
-const LoopInfo &AnalysisCache::ensureLoopInfo(Entry &E, const Function &F) {
-  count(E.LI != nullptr);
-  if (!E.LI)
-    E.LI = std::make_unique<LoopInfo>(F, ensureDominators(E, F));
-  return *E.LI;
-}
-
-const DFSInfo &AnalysisCache::ensureDfs(Entry &E, const Function &F) {
-  count(E.DFS != nullptr);
-  if (!E.DFS)
-    E.DFS = std::make_unique<DFSInfo>(F);
-  return *E.DFS;
-}
-
 const DominatorTree &AnalysisCache::dominators(const Function &F) {
-  Entry &E = entryFor(F);
-  std::lock_guard<std::mutex> Lock(E.M);
-  return ensureDominators(E, F);
+  std::unique_ptr<DominatorTree> &DT = Entries[&F].DT;
+  count(DT != nullptr);
+  if (!DT)
+    DT = std::make_unique<DominatorTree>(F);
+  return *DT;
 }
 
 const PostDominatorTree &AnalysisCache::postDominators(const Function &F) {
-  Entry &E = entryFor(F);
-  std::lock_guard<std::mutex> Lock(E.M);
-  return ensurePostDominators(E, F);
+  std::unique_ptr<PostDominatorTree> &PDT = Entries[&F].PDT;
+  count(PDT != nullptr);
+  if (!PDT)
+    PDT = std::make_unique<PostDominatorTree>(F);
+  return *PDT;
 }
 
 const LoopInfo &AnalysisCache::loopInfo(const Function &F) {
-  Entry &E = entryFor(F);
-  std::lock_guard<std::mutex> Lock(E.M);
-  return ensureLoopInfo(E, F);
+  std::unique_ptr<LoopInfo> &LI = Entries[&F].LI;
+  count(LI != nullptr);
+  if (!LI)
+    LI = std::make_unique<LoopInfo>(F, dominators(F));
+  return *LI;
 }
 
 const DFSInfo &AnalysisCache::dfs(const Function &F) {
-  Entry &E = entryFor(F);
-  std::lock_guard<std::mutex> Lock(E.M);
-  return ensureDfs(E, F);
+  std::unique_ptr<DFSInfo> &DFS = Entries[&F].DFS;
+  count(DFS != nullptr);
+  if (!DFS)
+    DFS = std::make_unique<DFSInfo>(F);
+  return *DFS;
 }
 
 const BranchProbMap &
 AnalysisCache::branchProbs(const Function &F,
                            const BranchProbComputeFn &Compute) {
-  Entry &E = entryFor(F);
-  std::lock_guard<std::mutex> Lock(E.M);
-  count(E.Probs != nullptr);
-  if (!E.Probs) {
-    const LoopInfo &LI = ensureLoopInfo(E, F);
-    const PostDominatorTree &PDT = ensurePostDominators(E, F);
-    const DFSInfo &DFS = ensureDfs(E, F);
-    E.Probs = std::make_unique<BranchProbMap>(Compute(F, LI, PDT, DFS));
+  std::unique_ptr<BranchProbMap> &Probs = Entries[&F].Probs;
+  count(Probs != nullptr);
+  if (!Probs) {
+    const LoopInfo &LI = loopInfo(F);
+    const PostDominatorTree &PDT = postDominators(F);
+    const DFSInfo &DFS = dfs(F);
+    Probs = std::make_unique<BranchProbMap>(Compute(F, LI, PDT, DFS));
   }
-  return *E.Probs;
+  return *Probs;
 }
 
 void AnalysisCache::invalidate(const Function *F) {
-  std::lock_guard<std::mutex> Lock(MapMutex);
   if (Entries.erase(F)) {
-    Invalidations.fetch_add(1, std::memory_order_relaxed);
+    ++Stats.Invalidations;
     telemetry::count(telemetry::Counter::AnalysisCacheInvalidations);
   }
 }
 
 void AnalysisCache::clear() {
-  std::lock_guard<std::mutex> Lock(MapMutex);
-  Invalidations.fetch_add(Entries.size(), std::memory_order_relaxed);
+  Stats.Invalidations += Entries.size();
   telemetry::count(telemetry::Counter::AnalysisCacheInvalidations,
                    Entries.size());
   Entries.clear();
-}
-
-AnalysisCacheStats AnalysisCache::stats() const {
-  AnalysisCacheStats S;
-  S.Hits = Hits.load(std::memory_order_relaxed);
-  S.Misses = Misses.load(std::memory_order_relaxed);
-  S.Invalidations = Invalidations.load(std::memory_order_relaxed);
-  return S;
 }

@@ -12,15 +12,15 @@
 /// analyses are computed once per function per evaluation instead of once
 /// per predictor per function.
 ///
-/// Keys are `const Function *`. Entries are heap-allocated, so references
+/// Keys are `const Function *`. Analyses are heap-allocated, so references
 /// handed out stay valid until that function is explicitly invalidated —
 /// required by `FunctionCloning`, which retargets call sites inside caller
-/// bodies (see InterproceduralVRP::cloneDivergentCallees).
+/// bodies (see InterproceduralVRP::cloneDivergentCallees). Callers must
+/// not hold references to a function's analyses across
+/// `invalidate`/`clear` of that function.
 ///
-/// Thread-safe: the map and each entry are mutex-guarded so the parallel
-/// function fan-out in `runModuleVRP` can share one cache. Invalidation is
-/// a coordinator-only operation: callers must not hold references to a
-/// function's analyses across `invalidate`/`clear` of that function.
+/// Not thread-safe: a cache belongs to one evaluation, one request or one
+/// benchmark operation, and only the thread running it uses it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +31,10 @@
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 
 namespace vrp {
 
@@ -67,9 +65,8 @@ struct AnalysisCacheStats {
 
 class AnalysisCache {
 public:
-  /// Computes the fallback probability map from the already-memoized CFG
-  /// analyses. Receiving them as arguments (instead of calling back into
-  /// the cache) keeps the computation inside one entry lock.
+  /// Computes the fallback probability map from the memoized CFG
+  /// analyses, which the cache passes in.
   using BranchProbComputeFn = std::function<BranchProbMap(
       const Function &, const LoopInfo &, const PostDominatorTree &,
       const DFSInfo &)>;
@@ -95,11 +92,10 @@ public:
   /// Drops everything (e.g. after wholesale module transformation).
   void clear();
 
-  AnalysisCacheStats stats() const;
+  AnalysisCacheStats stats() const { return Stats; }
 
 private:
   struct Entry {
-    std::mutex M;
     std::unique_ptr<DominatorTree> DT;
     std::unique_ptr<PostDominatorTree> PDT;
     std::unique_ptr<LoopInfo> LI;
@@ -107,21 +103,10 @@ private:
     std::unique_ptr<BranchProbMap> Probs;
   };
 
-  Entry &entryFor(const Function &F);
-
-  // Unlocked builders; the caller holds Entry::M.
-  const DominatorTree &ensureDominators(Entry &E, const Function &F);
-  const PostDominatorTree &ensurePostDominators(Entry &E, const Function &F);
-  const LoopInfo &ensureLoopInfo(Entry &E, const Function &F);
-  const DFSInfo &ensureDfs(Entry &E, const Function &F);
-
   void count(bool Hit);
 
-  mutable std::mutex MapMutex;
-  std::map<const Function *, std::unique_ptr<Entry>> Entries;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Invalidations{0};
+  std::map<const Function *, Entry> Entries;
+  AnalysisCacheStats Stats;
 };
 
 } // namespace vrp

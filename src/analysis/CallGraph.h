@@ -12,8 +12,8 @@
 /// On top of the SCC order the graph exposes *waves*: a layering of the
 /// condensation where wave(S) = 1 + max over callee SCCs (0 for leaves).
 /// Two SCCs in the same wave share no call edge in either direction, so
-/// the interprocedural scheduler can analyze a whole wave's SCCs on
-/// different threads with no cross-talk, merging at the wave boundary.
+/// the interprocedural scheduler gets the same result whatever order it
+/// runs a wave's SCCs in.
 ///
 /// Construction, index lookup and caller adjacency are all linear in the
 /// module (function -> index is a hash map, caller sites are precomputed

@@ -252,8 +252,8 @@ std::string fnvHex(uint64_t H) {
 }
 
 /// The result-affecting VRPOptions fields (docs/CACHE.md documents the
-/// recipe). Threads is excluded (results are thread-count invariant by
-/// contract); Audit/Trace/InterpreterStepLimit never change a
+/// recipe). Threads is excluded (it only sets how many benchmarks a suite
+/// runs at once); Audit/Trace/InterpreterStepLimit never change a
 /// propagation result; the budget knobs that can degrade a function ARE
 /// included — a tighter budget must not be satisfied from results a
 /// looser one computed.
@@ -261,10 +261,9 @@ std::string optionsText(const VRPOptions &O) {
   std::ostringstream OS;
   OS << O.MaxSubRanges << "|" << O.EnableSymbolicRanges << "|"
      << O.EnableDerivation << "|" << O.EnableAssertions << "|"
-     << O.WidenThreshold << "|" << O.BranchUpdateLimit << "|"
-     << O.FlowVisitLimit << "|" << O.DerivationRetryLimit << "|"
-     << hexFloat(O.AssumedSymbolicCount) << "|" << O.Interprocedural << "|"
-     << O.EnableCloning << "|" << hexFloat(O.ProbTolerance) << "|"
+     << O.WidenThreshold << "|" << O.FlowVisitLimit << "|"
+     << O.DerivationRetryLimit << "|" << hexFloat(O.AssumedSymbolicCount)
+     << "|" << O.Interprocedural << "|" << O.EnableCloning << "|"
      << O.Budget.PropagationStepLimit << "|" << O.Budget.DeadlineMs << "|"
      << O.EnableFPRanges << "|" << O.EnableAliasRanges;
   return OS.str();
@@ -497,11 +496,12 @@ bool PersistentCache::rebind(const FunctionVRPResult &Prev, const Function &F,
     return Sym != nullptr;
   };
 
-  // Numeric handles are copied as they are, so the rebound result shares
-  // Prev's arena, and so do the symbolic slices interned again below.
+  // Numeric handles are copied as they are and still point into Prev's
+  // arena; the symbolic slices interned again below go to this run's
+  // arena, which holds Prev's.
   Out = FunctionVRPResult();
   Out.F = &F;
-  Out.Arena = Prev.Arena;
+  Out.Arena = RangeArena::joinOrCreate(Prev.Arena);
   RangeArena::Scope ArenaScope(Out.Arena);
   Out.Stats = Prev.Stats;
   Out.BlockProb = Prev.BlockProb;

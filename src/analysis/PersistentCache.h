@@ -69,8 +69,9 @@ public:
   /// Store version, kept in the ResultStore header; bump on any change to
   /// serialize()'s output or the key recipe. A store written under
   /// another version is reset on open (its records count as evictions).
-  /// Version 3 keys functions by structural hash instead of IR text.
-  static constexpr uint32_t FormatVersion = 3;
+  /// Version 3 keys functions by structural hash instead of IR text;
+  /// version 4 drops the two engine limits that became constants.
+  static constexpr uint32_t FormatVersion = 4;
 
   /// serialize()'s own encoding version, the first line of every payload;
   /// bump on any change to serialize()'s output (and bump FormatVersion
@@ -121,7 +122,9 @@ public:
   /// same structural checks as deserialize() (same block count, every id
   /// present with the same opcode, branches are CondBrInsts) and returns
   /// false on any mismatch, leaving \p Out unspecified. \p Prev's
-  /// function must still be alive. \p Out shares \p Prev's arena.
+  /// function must still be alive. The symbolic slices go to the active
+  /// analysis's arena, which must hold \p Prev's (an incremental run's
+  /// does), or else to a fresh arena \p Out owns that holds \p Prev's.
   static bool rebind(const FunctionVRPResult &Prev, const Function &F,
                      FunctionVRPResult &Out);
 

@@ -523,21 +523,17 @@ SuiteEvaluation vrp::evaluateSuite(
 
   if (Threads > 1 && Programs.size() > 1) {
     // Benchmarks fan out across the pool (each evaluateProgram compiles,
-    // profiles and predicts its own module — fully independent). The
-    // per-program evaluation runs serially inside each worker: the outer
-    // fan-out already saturates the pool, and ThreadPool jobs must not
-    // nest. Slot I holds program I, so the result order (and every
-    // curve) is identical to the serial loop. Escaped task exceptions
-    // are ALL collected — every other slot still completes — and each
-    // failed slot gets a structured worker-task failure. (Under the
-    // supervisor no exception escapes, so Failed stays empty.)
-    VRPOptions Inner = Opts;
-    Inner.Threads = 1;
+    // profiles and predicts its own module on its worker — fully
+    // independent). Slot I holds program I, so the result order (and
+    // every curve) is identical to the serial loop. Escaped task
+    // exceptions are ALL collected — every other slot still completes —
+    // and each failed slot gets a structured worker-task failure. (Under
+    // the supervisor no exception escapes, so Failed stays empty.)
     ThreadPool Pool(Threads);
     std::vector<BenchmarkEvaluation> Out(Programs.size());
     std::vector<TaskFailure> Failed = Pool.parallelForCollect(
         Programs.size(),
-        [&](size_t I) { Out[I] = evalSlot(*Programs[I], Inner); });
+        [&](size_t I) { Out[I] = evalSlot(*Programs[I], Opts); });
     for (const TaskFailure &F : Failed)
       Out[F.Index] = workerFailure(Programs[F.Index]->Name,
                                    ParallelError::describe(F.Error));

@@ -14,12 +14,11 @@
 // (IR, context) — is never repeated for an identical context and total
 // work stays linear-ish in the module.
 //
-// Determinism contract: SCCs of one wave run on worker threads, but all
-// shared state (the param/return tables, the dirty set, result slots)
-// is written only by the coordinating thread at wave boundaries, in SCC
-// index order. Deadlines are probed at those same boundaries, so the set
-// of degraded functions is a function of *which* boundary expired, never
-// of the thread schedule.
+// The whole analysis runs on the calling thread. The SCCs of one wave
+// have no call edge between them, so running them one after another in
+// SCC index order gives the same result as any other order. The deadline
+// is probed once per wave, before its first dirty SCC runs, so the set of
+// degraded functions depends only on *which* wave boundary expired.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +33,6 @@
 #include "support/FaultInjection.h"
 #include "support/ResultStore.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "vrp/Audit.h"
 
 #include <algorithm>
@@ -118,9 +116,9 @@ class InterprocDriver {
 public:
   InterprocDriver(Module &M, const VRPOptions &Opts,
                   std::shared_ptr<RangeArena> Arena, AnalysisCache *Cache,
-                  PersistentCache *PCache, ThreadPool *Pool)
+                  PersistentCache *PCache)
       : M(M), Opts(Opts), Arena(std::move(Arena)), Cache(Cache),
-        PCache(PCache), Pool(Pool) {
+        PCache(PCache) {
     if (Opts.Budget.DeadlineMs != 0)
       Deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(Opts.Budget.DeadlineMs);
@@ -132,19 +130,15 @@ public:
                                  const ModuleVRPResult &Previous);
 
 private:
-  /// Result slots an SCC task hands back to the coordinator; merged at
-  /// the wave boundary in deterministic order.
-  struct SccOutcome {
-    std::vector<std::pair<unsigned, FunctionVRPResult>> FnResults;
-    std::vector<std::pair<unsigned, ValueRange>> Returns;
-  };
-
   void initState();
   bool markDirty(unsigned I);
   FunctionVRPResult analyzeOne(const Function &F,
                                const PropagationContext &Ctx);
-  SccOutcome analyzeScc(const std::vector<unsigned> &Members, bool Recursive);
-  unsigned runSweep();
+  void analyzeScc(unsigned Scc, const std::vector<unsigned> &Members,
+                  bool Recursive);
+  void recordResult(unsigned I, FunctionVRPResult R);
+  void installReturn(unsigned Scc, unsigned I, const ValueRange &Ret);
+  void runSweep();
   void refreshParams();
   void sweepLoop();
   void degradeRemaining();
@@ -189,12 +183,11 @@ private:
 
   Module &M;
   const VRPOptions &Opts;
-  /// Every range of this run lives here. The coordinating thread's scope
-  /// is installed by the entry point; pool tasks install their own.
+  /// Every range of this run lives here; the entry point installs its
+  /// scope.
   std::shared_ptr<RangeArena> Arena;
   AnalysisCache *Cache;    ///< May be null (no memoization).
   PersistentCache *PCache; ///< May be null (no durable result cache).
-  ThreadPool *Pool;        ///< May be null (serial per-SCC phase).
   bool UsePCache = false;
   std::optional<std::chrono::steady_clock::time_point> Deadline;
   bool DeadlineBlown = false;
@@ -292,17 +285,16 @@ FunctionVRPResult InterprocDriver::analyzeOne(const Function &F,
   return R;
 }
 
-InterprocDriver::SccOutcome
-InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
-                            bool Recursive) {
-  RangeArena::Scope ArenaScope(Arena); // May run on a pool worker.
-  SccOutcome Out;
+void InterprocDriver::analyzeScc(unsigned Scc,
+                                 const std::vector<unsigned> &Members,
+                                 bool Recursive) {
   RangeStats Scratch;
   RangeOps Ops(Opts, Scratch);
 
   // Intra-SCC return overlay: recursive members read each other's
   // current-iteration return ranges through it; everything outside the
-  // SCC resolves through the (frozen for this wave) module table.
+  // SCC resolves through the module table, which nothing in this wave
+  // changes for this SCC's callees.
   std::map<const Function *, ValueRange> Overlay;
 
   PropagationContext Ctx;
@@ -321,13 +313,12 @@ InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
   Ctx.Census = Census.get();
 
   if (!Recursive) {
-    for (unsigned I : Members) {
-      FunctionVRPResult R = analyzeOne(*Fns[I], Ctx);
-      ValueRange Ret = computeReturnRange(*Fns[I], R, Ops);
-      Out.FnResults.emplace_back(I, std::move(R));
-      Out.Returns.emplace_back(I, Ret);
-    }
-    return Out;
+    unsigned I = Members.front();
+    FunctionVRPResult R = analyzeOne(*Fns[I], Ctx);
+    ValueRange Ret = computeReturnRange(*Fns[I], R, Ops);
+    recordResult(I, std::move(R));
+    installReturn(Scc, I, Ret);
+    return;
   }
 
   // Recursive SCC: iterate the members (in module order) against the
@@ -335,10 +326,10 @@ InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
   // cap. Parameters of recursive functions are pinned ⊥ (paper §3.7), so
   // only return ranges circulate inside the cycle. The overlay always
   // starts from ⊥ — never from the module table — so the outcome is a
-  // function of the frozen external tables alone. Seeding from the
-  // previous sweep's returns would make the (capped) iteration
-  // path-dependent, and cold vs. incremental runs would then disagree
-  // bitwise on recursive SCCs inside the re-analysis cone.
+  // function of the external tables alone. Seeding from the previous
+  // sweep's returns would make the (capped) iteration path-dependent,
+  // and cold vs. incremental runs would then disagree bitwise on
+  // recursive SCCs inside the re-analysis cone.
   for (unsigned I : Members)
     Overlay[Fns[I]] = ValueRange::bottom();
   std::map<unsigned, FunctionVRPResult> Current;
@@ -359,27 +350,49 @@ InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
     if (Stable)
       break;
   }
-  for (unsigned I : Members) {
-    Out.Returns.emplace_back(I, Overlay[Fns[I]]);
-    Out.FnResults.emplace_back(I, std::move(Current[I]));
-  }
-  return Out;
+  for (unsigned I : Members)
+    recordResult(I, std::move(Current[I]));
+  for (unsigned I : Members)
+    installReturn(Scc, I, Overlay[Fns[I]]);
 }
 
-unsigned InterprocDriver::runSweep() {
+void InterprocDriver::recordResult(unsigned I, FunctionVRPResult R) {
+  Results[I] = std::move(R);
+  HasResult[I] = 1;
+  Dirty[I] = 0;
+  if (AnalysesLeft[I] > 0)
+    --AnalysesLeft[I];
+  EverAnalyzed[I] = 1;
+  AnalyzedThisSweep.push_back(I);
+}
+
+void InterprocDriver::installReturn(unsigned Scc, unsigned I,
+                                    const ValueRange &Ret) {
+  const Function *F = Fns[I];
+  auto It = ReturnTable.find(F);
+  // Bitwise change detection — see the overlay stabilization note.
+  bool Changed = It == ReturnTable.end() ? !Ret.isBottom()
+                                         : !It->second.equals(Ret, 0.0);
+  if (!Changed)
+    return;
+  ReturnTable[F] = Ret;
+  // Callers sit in strictly later waves (intra-SCC edges were already
+  // iterated locally): dirty them for this same sweep.
+  for (const CallInst *Site : CG->callerSitesOf(F)) {
+    unsigned CallerIdx = CG->indexOf(Site->function());
+    if (CG->sccOfIndex(CallerIdx) != Scc)
+      markDirty(CallerIdx);
+  }
+}
+
+void InterprocDriver::runSweep() {
   AnalyzedThisSweep.clear();
-  unsigned Analyzed = 0;
-  struct Job {
-    unsigned Scc;
-    std::vector<unsigned> Members;
-    bool Recursive;
-  };
-  while (!DirtySccs.empty()) {
-    // Pop the lowest wave with dirty work. All of it is mutually
-    // independent, so it forms one parallel batch; anything the batch
-    // dirties lands in a strictly later wave of this same sweep.
+  while (!DirtySccs.empty() && !DeadlineBlown) {
+    // Pop the lowest wave with dirty work. Its SCCs have no call edge
+    // between them, and anything one of them dirties lands in a strictly
+    // later wave of this same sweep.
     unsigned Wave = DirtySccs.begin()->first;
-    std::vector<Job> Jobs;
+    bool Probed = false;
     while (!DirtySccs.empty() && DirtySccs.begin()->first == Wave) {
       unsigned S = DirtySccs.begin()->second;
       DirtySccs.erase(DirtySccs.begin());
@@ -400,67 +413,20 @@ unsigned InterprocDriver::runSweep() {
           continue;
         Members.push_back(I);
       }
-      Jobs.push_back({S, std::move(Members), Recursive});
-    }
-    if (Jobs.empty())
-      continue;
-
-    // Satellite fix: the deadline (and its injected fault clock) is
-    // probed only here, on the coordinating thread, so which functions
-    // degrade depends on which boundary expired — never on the schedule.
-    probeDeadline();
-    if (DeadlineBlown)
-      break;
-
-    std::vector<SccOutcome> Outcomes;
-    if (Pool && Pool->threadCount() > 1 && Jobs.size() > 1) {
-      Outcomes = Pool->parallelMap<SccOutcome>(Jobs.size(), [&](size_t J) {
-        return analyzeScc(Jobs[J].Members, Jobs[J].Recursive);
-      });
-    } else {
-      Outcomes.reserve(Jobs.size());
-      for (const Job &J : Jobs)
-        Outcomes.push_back(analyzeScc(J.Members, J.Recursive));
-    }
-
-    // Barrier merge in SCC index order (the order Jobs were popped).
-    for (size_t JI = 0; JI < Jobs.size(); ++JI) {
-      for (auto &Slot : Outcomes[JI].FnResults) {
-        unsigned I = Slot.first;
-        Results[I] = std::move(Slot.second);
-        HasResult[I] = 1;
-        Dirty[I] = 0;
-        if (AnalysesLeft[I] > 0)
-          --AnalysesLeft[I];
-        EverAnalyzed[I] = 1;
-        AnalyzedThisSweep.push_back(I);
-        ++Analyzed;
+      // The deadline (and its injected fault clock) is probed once per
+      // wave with dirty work, before that work starts, so which
+      // functions degrade depends only on which boundary expired.
+      if (!Probed) {
+        Probed = true;
+        probeDeadline();
+        if (DeadlineBlown)
+          break;
       }
-      for (const auto &RetEntry : Outcomes[JI].Returns) {
-        const Function *F = Fns[RetEntry.first];
-        const ValueRange &Ret = RetEntry.second;
-        auto It = ReturnTable.find(F);
-        // Bitwise change detection — see the overlay stabilization note.
-        bool Changed = It == ReturnTable.end()
-                           ? !Ret.isBottom()
-                           : !It->second.equals(Ret, 0.0);
-        if (!Changed)
-          continue;
-        ReturnTable[F] = Ret;
-        // Callers sit in strictly later waves (intra-SCC edges were
-        // already iterated locally): dirty them for this same sweep.
-        for (const CallInst *Site : CG->callerSitesOf(F)) {
-          unsigned CallerIdx = CG->indexOf(Site->function());
-          if (CG->sccOfIndex(CallerIdx) == Jobs[JI].Scc)
-            continue;
-          markDirty(CallerIdx);
-        }
-      }
+      analyzeScc(S, Members, Recursive);
     }
   }
   if (DeadlineBlown)
     degradeRemaining();
-  return Analyzed;
 }
 
 void InterprocDriver::refreshParams() {
@@ -530,39 +496,24 @@ void InterprocDriver::degradeRemaining() {
 }
 
 void InterprocDriver::runIntraprocedural() {
-  // No cross-function information: one flat fan-out, the whole module a
-  // single wave (the deadline is probed once at its boundary).
+  // No cross-function information: the whole module is a single wave
+  // (the deadline is probed once at its boundary).
   PropagationContext Ctx;
   Ctx.ParamRange = [](const Param *) { return ValueRange::bottom(); };
   Ctx.CallResultRange = [](const CallInst *) { return ValueRange::bottom(); };
   Ctx.Cache = Cache;
   Ctx.Census = Census.get();
+  Sweeps = 1;
   probeDeadline();
   if (DeadlineBlown) {
     degradeRemaining();
-    Sweeps = 1;
     return;
   }
-  auto AnalyzeSlot = [&](size_t I) {
-    RangeArena::Scope ArenaScope(Arena); // May run on a pool worker.
-    return analyzeOne(*Fns[I], Ctx);
-  };
-  std::vector<FunctionVRPResult> Out;
-  if (Pool && Pool->threadCount() > 1) {
-    Out = Pool->parallelMap<FunctionVRPResult>(Fns.size(), AnalyzeSlot);
-  } else {
-    Out.reserve(Fns.size());
-    for (size_t I = 0; I < Fns.size(); ++I)
-      Out.push_back(AnalyzeSlot(I));
-  }
   for (unsigned I = 0; I < Fns.size(); ++I) {
-    Results[I] = std::move(Out[I]);
+    Results[I] = analyzeOne(*Fns[I], Ctx);
     HasResult[I] = 1;
-    Dirty[I] = 0;
     EverAnalyzed[I] = 1;
   }
-  DirtySccs.clear();
-  Sweeps = 1;
 }
 
 unsigned InterprocDriver::cloneDivergentCallees() {
@@ -776,11 +727,10 @@ InterprocDriver::runIncremental(const Module &PrevModule,
 namespace {
 
 /// Fault site "unsound-range": one shouldFail probe per function that
-/// HAS a corruptible range, on the coordinating thread in module order,
-/// so a spec like "unsound-range@bench:0" corrupts the same function at
-/// any thread count — and never no-ops on a branch-free helper. The
-/// corruption leaves predictions intact — only the soundness sentinel
-/// can tell.
+/// HAS a corruptible range, in module order, so a spec like
+/// "unsound-range@bench:0" always corrupts the same function — and never
+/// no-ops on a branch-free helper. The corruption leaves predictions
+/// intact — only the soundness sentinel can tell.
 void applyUnsoundRangeFault(const Module &M, ModuleVRPResult &Result) {
   if (!fault::armed())
     return;
@@ -802,14 +752,8 @@ ModuleVRPResult vrp::runModuleVRP(Module &M, const VRPOptions &Opts,
   telemetry::ScopedTimer T(telemetry::Timer::Propagation);
   auto Arena = std::make_shared<RangeArena>();
   RangeArena::Scope ArenaScope(Arena);
-  unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
-  ModuleVRPResult Result;
-  if (Threads > 1 && M.functions().size() > 1) {
-    ThreadPool Pool(Threads);
-    Result = InterprocDriver(M, Opts, Arena, Cache, PCache, &Pool).run();
-  } else {
-    Result = InterprocDriver(M, Opts, Arena, Cache, PCache, nullptr).run();
-  }
+  ModuleVRPResult Result =
+      InterprocDriver(M, Opts, Arena, Cache, PCache).run();
   applyUnsoundRangeFault(M, Result);
   return Result;
 }
@@ -831,23 +775,15 @@ ModuleVRPResult vrp::runModuleVRPIncremental(const Module &M,
   assert(!Opts.EnableCloning &&
          "incremental re-analysis never mutates the module");
   telemetry::ScopedTimer T(telemetry::Timer::Propagation);
-  // Continue in the predecessor's arena: rebinding copies its numeric
-  // handles as they are, and the seeded tables can hold its ranges.
-  std::shared_ptr<RangeArena> Arena =
-      Previous.Arena ? Previous.Arena : std::make_shared<RangeArena>();
+  // A fresh arena for what this run adds. Rebound results and the seeded
+  // tables keep handles into the predecessor's arena, which this one
+  // holds alive.
+  auto Arena = std::make_shared<RangeArena>(Previous.Arena);
   RangeArena::Scope ArenaScope(Arena);
-  unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
   // Never mutated: cloning is excluded above, and nothing else writes.
   Module &MM = const_cast<Module &>(M);
-  ModuleVRPResult Result;
-  if (Threads > 1 && M.functions().size() > 1) {
-    ThreadPool Pool(Threads);
-    Result = InterprocDriver(MM, Opts, Arena, Cache, PCache, &Pool)
-                 .runIncremental(PrevModule, Previous);
-  } else {
-    Result = InterprocDriver(MM, Opts, Arena, Cache, PCache, nullptr)
-                 .runIncremental(PrevModule, Previous);
-  }
+  ModuleVRPResult Result = InterprocDriver(MM, Opts, Arena, Cache, PCache)
+                               .runIncremental(PrevModule, Previous);
   applyUnsoundRangeFault(M, Result);
   return Result;
 }

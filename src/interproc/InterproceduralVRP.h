@@ -16,9 +16,11 @@
 /// Functions on call-graph cycles receive ⊥ parameters and their SCCs
 /// iterate internally until their return ranges stabilize. Optional
 /// procedure cloning specializes callees whose call-site contexts diverge.
+/// Every entry point analyzes on the calling thread; VRPOptions::Threads
+/// does not apply here.
 ///
-/// docs/SCALING.md describes the scheduler, its determinism contract and
-/// the incremental re-analysis mode in detail.
+/// docs/SCALING.md describes the scheduler and the incremental
+/// re-analysis mode in detail.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +39,8 @@ namespace vrp {
 /// Whole-module propagation result.
 struct ModuleVRPResult {
   /// The analysis's range arena, shared by every per-function result
-  /// (and continued by an incremental run that starts from this one).
+  /// (and held by the arena of an incremental run that starts from this
+  /// one).
   std::shared_ptr<RangeArena> Arena;
   std::map<const Function *, FunctionVRPResult> PerFunction;
   RangeStats Total;
@@ -74,11 +77,6 @@ class PersistentCache;
 /// interprocedural analysis on), divergent-context callees are cloned
 /// after the first fixpoint — note this MUTATES the module.
 ///
-/// With Opts.Threads > 1 (or 0 = auto) independent SCCs of the same wave
-/// fan out across a worker pool; all table updates happen on the
-/// coordinating thread at wave boundaries and results merge in function
-/// order, so output is bitwise identical to a serial run.
-///
 /// \p Cache optionally memoizes per-function CFG analyses across sweeps
 /// and across predictors (see analysis/AnalysisCache.h). Cloning
 /// invalidates the entries of callers whose call sites were retargeted.
@@ -104,8 +102,9 @@ ModuleVRPResult runModuleVRP(const Module &M, const VRPOptions &Opts,
 /// unchanged starts from its previous result (rebound to the new module
 /// by ordinal through PersistentCache::rebind, so the reuse is bitwise).
 /// \p PrevModule must stay alive for the call; the result refers only to
-/// \p M. The run continues in \p Previous's range arena (rebound results
-/// keep their handles), so the result shares it and keeps it alive.
+/// \p M. The run interns into a fresh arena that holds \p Previous's
+/// arena alive: rebound results keep their numeric handles into it, and
+/// nothing is added to it.
 /// The changed functions seed the dirty set and the scheduler re-analyzes
 /// exactly the invalidated cone: callers re-run only when a callee's
 /// return range actually changed, callees only when the merged jump

@@ -187,7 +187,6 @@ Response Service::attempt(const Request &Req, bool ForceDegrade) {
 
     VRPOptions Opts;
     Opts.Interprocedural = true;
-    Opts.Threads = Config.AnalysisThreads;
     Opts.Budget.PropagationStepLimit = Req.StepLimit;
     Opts.Budget.DeadlineMs =
         Req.DeadlineMs != 0 ? Req.DeadlineMs : Config.DefaultDeadlineMs;

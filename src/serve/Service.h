@@ -61,8 +61,6 @@ struct ServiceConfig {
   bool ResponseMemo = true;
   /// Deadline applied to requests that do not carry their own; 0 = none.
   uint64_t DefaultDeadlineMs = 0;
-  /// Propagation fan-out per request (VRPOptions::Threads).
-  unsigned AnalysisThreads = 1;
 };
 
 /// Monotonic service counters (surfaced by `stats`).

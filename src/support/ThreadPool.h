@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool for the evaluation harness's two hot fan-outs
-/// (benchmarks across `evaluateSuite`, functions across `runModuleVRP`).
-/// Work is handed out as index ranges [0, N) and results are written to
-/// index-addressed slots, so `parallelMap` returns results in exactly the
-/// order a serial loop would have produced them — parallelism never changes
-/// observable output, only wall-clock time.
+/// A fixed-size worker pool for the evaluation harness's benchmark
+/// fan-out (`evaluateSuite`); one module is always analyzed on one
+/// thread. Work is handed out as index ranges [0, N) and results are
+/// written to index-addressed slots, so `parallelMap` returns results in
+/// exactly the order a serial loop would have produced them — parallelism
+/// never changes observable output, only wall-clock time.
 ///
 /// The calling thread participates in every job, so a pool built with
 /// `ThreadCount <= 1` (or when `hardware_concurrency` is unknown) spawns no

@@ -73,10 +73,6 @@ struct VRPOptions {
   /// (termination guard for non-derivable loop-carried expressions).
   unsigned WidenThreshold = 24;
 
-  /// Updates of one branch's probability before it is frozen (termination
-  /// guard for probability oscillation through loops).
-  unsigned BranchUpdateLimit = 48;
-
   /// Flow-worklist revisits of one block before its φs stop being
   /// re-merged for edge-probability refinements. Loop feedback converges
   /// geometrically, so a handful of rounds captures the weights to well
@@ -117,11 +113,11 @@ struct VRPOptions {
   /// Clone procedures whose call-site contexts diverge (§3.7).
   bool EnableCloning = false;
 
-  /// Worker threads for the evaluation fan-outs (evaluateSuite across
-  /// benchmarks, runModuleVRP across functions). 1 = serial; 0 = auto
+  /// Benchmarks evaluateSuite runs at once. 1 = serial; 0 = auto
   /// (hardware_concurrency, degrading to serial when unknown). Results
   /// are byte-identical at every setting — threading only changes
-  /// wall-clock time (see support/ThreadPool.h).
+  /// wall-clock time (see support/ThreadPool.h). One module is always
+  /// analyzed on one thread, so nothing else reads this.
   unsigned Threads = 1;
 
   /// Resource budgets (step caps, deadline) with heuristic degradation.
@@ -135,13 +131,6 @@ struct VRPOptions {
   /// their range predictions are discarded in favor of the Ball–Larus
   /// fallback — and reported rather than trusted.
   bool Audit = false;
-
-  /// Probability tolerance for fixpoint detection. Probabilities feed
-  /// back through loop edges with geometric convergence; demanding more
-  /// precision than this multiplies evaluation counts without measurably
-  /// changing predictions (the paper's linearity claim depends on the
-  /// propagation winding down quickly).
-  double ProbTolerance = 1e-6;
 
   /// When set, the engine records lattice transitions (old range → new
   /// range, triggering edge) for every function the sink's filter

@@ -64,6 +64,17 @@ double FunctionVRPResult::edgeFraction(const BasicBlock *From,
 
 namespace {
 
+/// Probability tolerance for fixpoint detection. Probabilities feed back
+/// through loop edges with geometric convergence; demanding more
+/// precision than this multiplies evaluation counts without measurably
+/// changing predictions (the paper's linearity claim depends on the
+/// propagation winding down quickly).
+constexpr double ProbTolerance = 1e-6;
+
+/// Updates of one branch's probability before it is frozen (termination
+/// guard for probability oscillation through loops).
+constexpr unsigned BranchUpdateLimit = 48;
+
 /// Weight-only updates of one value's range (same support, probability
 /// moved beyond ProbTolerance) before further ones stop re-evaluating its
 /// users. Loop feedback usually converges geometrically, but φ weights
@@ -121,7 +132,7 @@ private:
       Ring->record(trace::TraceEvent{I->displayName(), Old.str(), VR.str(),
                                      CurrentTrigger, CurrentStep});
     bool SameSupport = Old.sameSupport(VR);
-    bool Material = !SameSupport || !Old.equals(VR, Opts.ProbTolerance);
+    bool Material = !SameSupport || !Old.equals(VR, ProbTolerance);
     Result.Ranges[I] = VR; // Always keep the most precise result.
     if (!Material)
       return false;
@@ -264,7 +275,7 @@ void Engine::refreshOutEdges(const BasicBlock *B) {
   auto updateEdge = [&](unsigned Index, double New, BasicBlock *Target) {
     double Old = outProb(B, Index);
     bool CrossesZero = (Old == 0.0) != (New == 0.0);
-    if (!CrossesZero && std::abs(Old - New) <= Opts.ProbTolerance)
+    if (!CrossesZero && std::abs(Old - New) <= ProbTolerance)
       return;
     outProb(B, Index) = New;
     FlowWorkList.push_back({B, Target});
@@ -472,7 +483,7 @@ ValueRange Engine::evaluateLoad(const LoadInst *L) {
 void Engine::evaluateBranch(const CondBrInst *Branch) {
   ++Result.Stats.BranchEvaluations;
   unsigned &Updates = BranchUpdates[Branch];
-  if (Updates > Opts.BranchUpdateLimit)
+  if (Updates > BranchUpdateLimit)
     return; // Frozen to guarantee termination.
 
   ValueRange CondVR = rangeOf(Branch->cond());
@@ -485,7 +496,7 @@ void Engine::evaluateBranch(const CondBrInst *Branch) {
 
   auto It = BranchFraction.find(Branch);
   if (It != BranchFraction.end() &&
-      std::abs(It->second - Fraction) <= Opts.ProbTolerance &&
+      std::abs(It->second - Fraction) <= ProbTolerance &&
       BranchFromRanges.count(Branch) == (FromRanges ? 1u : 0u))
     return;
   ++Updates;
@@ -591,7 +602,7 @@ FunctionVRPResult Engine::run() {
       double OldProb = Result.BlockProb[To->id()];
       double NewProb = computeBlockProb(To);
       bool ProbChanged =
-          std::abs(NewProb - OldProb) > Opts.ProbTolerance;
+          std::abs(NewProb - OldProb) > ProbTolerance;
       // Zero-crossings bypass the refinement budget: reachability (and
       // unreachability) must always propagate.
       bool CrossedZero = (OldProb == 0.0) != (NewProb == 0.0);

@@ -83,8 +83,8 @@ struct PropagationContext {
   /// DFS numbering from the cache instead of recomputing it per run —
   /// interprocedural analysis re-propagates every function each round, so
   /// this saves one CFG walk per function per round. Must outlive the
-  /// propagation call; must be thread-safe when functions are fanned out
-  /// in parallel (analysis/AnalysisCache.h is).
+  /// propagation call. Not thread-safe: only the thread running the
+  /// analysis may use it.
   AnalysisCache *Cache = nullptr;
 
   /// Optional store census of the function's current module

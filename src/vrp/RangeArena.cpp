@@ -166,7 +166,8 @@ void RangeArena::InternTable::place(Slot S) {
 // Lifetime, ids and the current arena
 //===----------------------------------------------------------------------===
 
-RangeArena::RangeArena() : Id(acquireId()) {
+RangeArena::RangeArena(std::shared_ptr<const RangeArena> Predecessor)
+    : Id(acquireId()), Predecessor(std::move(Predecessor)) {
   Registry[Id].store(this, std::memory_order_release);
 }
 
@@ -196,9 +197,10 @@ RangeArena &RangeArena::current() {
   return Active ? *Active : defaultArena();
 }
 
-std::shared_ptr<RangeArena> RangeArena::joinOrCreate() {
+std::shared_ptr<RangeArena>
+RangeArena::joinOrCreate(std::shared_ptr<const RangeArena> Predecessor) {
   return Active ? Active->shared_from_this()
-                : std::make_shared<RangeArena>();
+                : std::make_shared<RangeArena>(std::move(Predecessor));
 }
 
 unsigned RangeArena::liveCount() {

@@ -16,10 +16,12 @@
 /// `propagateRanges` each create one, and the results they return own it
 /// through a `std::shared_ptr` (`FunctionVRPResult::Arena`), so the
 /// storage is freed when the last result that uses it dies. An
-/// incremental run continues in its predecessor's arena (DESIGN.md
-/// §6.1). Writers intern into the thread's *current* arena, installed by
-/// a `RangeArena::Scope`; outside every scope that is the process default
-/// arena, which unit tests and examples use and which is never freed.
+/// incremental run gets a fresh arena that holds its predecessor's arena
+/// alive, because its rebound results keep handles into that one
+/// (DESIGN.md §6.1). Writers intern into the thread's *current* arena,
+/// installed by a `RangeArena::Scope`; outside every scope that is the
+/// process default arena, which unit tests and examples use and which is
+/// never freed.
 /// Every arena has a 16-bit id, recorded in each handle, and a
 /// process-wide table maps live ids to arenas, so a handle is read
 /// through its own arena from any thread for as long as that arena
@@ -34,7 +36,7 @@
 /// on the slow path. Symbolic slices are arena-allocated but deliberately
 /// *not* deduped: their identity involves SSA pointers, and heap address
 /// reuse across function lifetimes would make cross-function identity —
-/// and with it the intern counters — depend on the thread schedule.
+/// and with it the intern counters — depend on allocation history.
 ///
 /// The floating-point domain (docs/DOMAINS.md) stores its weighted
 /// intervals as a *parallel column family* in the same arena: three
@@ -44,8 +46,11 @@
 /// mass is part of the interned content (hashed and compared by bit
 /// pattern) so an FP slice id alone identifies the full lattice value.
 ///
-/// Concurrency: insertion takes the arena's mutex; reads are lock-free.
-/// Columns are chunked with stable addresses (a slice never straddles a
+/// Concurrency: an analysis interns from the one thread it runs on, but
+/// a finished result may be read from any thread, and
+/// `FunctionVRPResult::rangeOf` interns a constant's range into the
+/// result's arena on read. So insertion takes the arena's mutex; reads
+/// are lock-free. Columns are chunked with stable addresses (a slice never straddles a
 /// chunk), and the chunk directories grow by doubling with every old
 /// directory kept until the arena dies, so a published slice id can be
 /// dereferenced without synchronizing with later growth. Ids travel
@@ -94,9 +99,10 @@ public:
   static constexpr uint32_t ChunkRows = 1u << ChunkShift;
   static constexpr uint32_t MaxSliceRows = ChunkRows;
 
-  /// An empty arena with a fresh id. Costs no chunk until the first
-  /// intern. Stops the program when 2^16 - 1 arenas are already alive.
-  RangeArena();
+  /// An empty arena with a fresh id that keeps \p Predecessor (if any)
+  /// alive as long as it lives. Costs no chunk until the first intern.
+  /// Stops the program when 2^16 - 1 arenas are already alive.
+  explicit RangeArena(std::shared_ptr<const RangeArena> Predecessor = {});
   ~RangeArena();
   RangeArena(const RangeArena &) = delete;
   RangeArena &operator=(const RangeArena &) = delete;
@@ -117,10 +123,11 @@ public:
   /// from an analysis entry point writes to it.
   static RangeArena &defaultArena();
 
-  /// The innermost Scope's arena, or a fresh one when no Scope is active
-  /// on this thread: how a result made outside an analysis gets storage
-  /// of its own.
-  static std::shared_ptr<RangeArena> joinOrCreate();
+  /// The innermost Scope's arena, or a fresh one holding \p Predecessor
+  /// when no Scope is active on this thread: how a result made outside an
+  /// analysis gets storage of its own.
+  static std::shared_ptr<RangeArena>
+  joinOrCreate(std::shared_ptr<const RangeArena> Predecessor = {});
 
   /// Number of live arenas, the default arena included once created.
   static unsigned liveCount();
@@ -307,6 +314,8 @@ private:
   uint32_t symId(const Value *V); // Under Mu.
 
   const uint16_t Id;
+  /// Arena whose handles this one's users still read.
+  const std::shared_ptr<const RangeArena> Predecessor;
 
   mutable std::mutex Mu;
   uint32_t NextRow = 0;   // Row cursor (chunk-padded).

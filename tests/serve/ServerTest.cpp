@@ -147,7 +147,6 @@ TEST(ServerTest, OverloadShedsInsteadOfHanging) {
 
   constexpr unsigned Burst = 12;
   std::vector<int> Outcome(Burst, -1); // 0=ok 1=shed 2=error
-  std::vector<bool> Degraded(Burst, false);
   std::vector<std::thread> Threads;
   for (unsigned I = 0; I < Burst; ++I)
     Threads.emplace_back([&, I] {
@@ -164,7 +163,6 @@ TEST(ServerTest, OverloadShedsInsteadOfHanging) {
       Outcome[I] = Resp.value().Status == RespStatus::Ok     ? 0
                    : Resp.value().Status == RespStatus::Shed ? 1
                                                              : 2;
-      Degraded[I] = Resp.value().Degraded;
     });
   for (std::thread &T : Threads)
     T.join();
