@@ -2,12 +2,19 @@
 //
 // Part of the VRP reproduction of Patterson, PLDI 1995.
 //
-// Measures the parallel evaluation engine: wall-clock for the full
-// ProgramsInt + ProgramsNumeric suite at 1/2/4/N threads, serial-vs-
-// parallel speedup, analysis-cache hit rates, and a bitwise comparison of
-// the prediction curves against the serial run (parallelism must never
-// change results). Emits BENCH_suite_scaling.json so future PRs have a
-// perf trajectory to defend.
+// Measures the suite fan-out: wall-clock for the full ProgramsInt +
+// ProgramsNumeric suite at 1/2/4/N threads, serial-vs-parallel speedup,
+// analysis-cache hit rates, and a bitwise comparison of the prediction
+// curves against the serial run (parallelism must never change results).
+// Emits BENCH_suite_scaling.json so future PRs have a perf trajectory to
+// defend.
+//
+// Every thread count runs once per round, for several rounds, and the
+// order rotates each round so no count always runs first or last. Each
+// count reports its median wall time, and the CPU time the process used
+// (getrusage) beside it: CPU/wall near 1 at four threads means the host
+// ran the fan-out on one CPU, which a bare wall-clock speedup cannot
+// tell apart from a fan-out that serialized.
 //
 // A growth phase then repeats serial suite passes in this one process and
 // gates on memory: resident set size after 5 passes and after 300 must
@@ -19,14 +26,16 @@
 
 #include "eval/SuiteRunner.h"
 #include "support/Format.h"
-#include "support/ThreadPool.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 using namespace vrp;
@@ -75,10 +84,29 @@ double residentMb() {
          static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
 }
 
+/// CPU seconds (user + system) this process has used so far.
+double cpuSeconds() {
+  rusage U{};
+  getrusage(RUSAGE_SELF, &U);
+  auto secs = [](const timeval &T) {
+    return static_cast<double>(T.tv_sec) + T.tv_usec / 1e6;
+  };
+  return secs(U.ru_utime) + secs(U.ru_stime);
+}
+
+/// The \p Q quantile of \p Xs (linear interpolation between ranks).
+double quantile(std::vector<double> Xs, double Q) {
+  std::sort(Xs.begin(), Xs.end());
+  double Pos = Q * static_cast<double>(Xs.size() - 1);
+  size_t Lo = static_cast<size_t>(Pos);
+  size_t Hi = std::min(Lo + 1, Xs.size() - 1);
+  return Xs[Lo] + (Xs[Hi] - Xs[Lo]) * (Pos - static_cast<double>(Lo));
+}
+
+/// Every timed pass at one thread count.
 struct Run {
   unsigned Threads = 1;
-  double Seconds = 0.0;
-  double Speedup = 1.0;
+  std::vector<double> Wall, Cpu, CpuPerWall;
   double CacheHitRate = 0.0;
   bool Identical = true;
 };
@@ -88,49 +116,57 @@ struct Run {
 int main() {
   std::vector<const BenchmarkProgram *> Programs = allPrograms();
   unsigned HW = std::thread::hardware_concurrency();
+  constexpr unsigned Rounds = 9;
 
   std::cout << "==== Suite evaluation scaling ====\n\n"
             << "programs: " << Programs.size()
-            << ", hardware_concurrency: " << HW << "\n\n";
+            << ", hardware_concurrency: " << HW << ", rounds: " << Rounds
+            << "\n\n";
 
   std::vector<unsigned> ThreadCounts{1, 2, 4};
   if (HW > 4)
     ThreadCounts.push_back(HW);
+  std::vector<Run> Runs(ThreadCounts.size());
+  for (size_t I = 0; I < Runs.size(); ++I)
+    Runs[I].Threads = ThreadCounts[I];
 
-  // Warm the interned-constant pool and suite tables outside the timings.
-  (void)evaluateSuite({Programs.front()}, VRPOptions());
+  VRPOptions Opts;
+  Opts.Interprocedural = true;
 
-  std::vector<Run> Runs;
-  SuiteEvaluation Serial;
-  for (unsigned Threads : ThreadCounts) {
-    VRPOptions Opts;
-    Opts.Interprocedural = true;
-    Opts.Threads = Threads;
+  // One untimed serial pass warms the process (interned constants, suite
+  // tables, allocator) and is the reference every timed pass must match.
+  Opts.Threads = 1;
+  SuiteEvaluation Serial = evaluateSuite(Programs, Opts);
 
-    auto Start = std::chrono::steady_clock::now();
-    SuiteEvaluation Suite = evaluateSuite(Programs, Opts);
-    auto End = std::chrono::steady_clock::now();
-
-    Run R;
-    R.Threads = Threads;
-    R.Seconds = wallSeconds(Start, End);
-    R.CacheHitRate = Suite.CacheTotals.hitRate();
-    if (Threads == 1) {
-      Serial = Suite;
-      R.Speedup = 1.0;
-      R.Identical = true;
-    } else {
-      R.Speedup = Runs.front().Seconds / R.Seconds;
-      R.Identical = curvesIdentical(Serial, Suite);
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    for (size_t K = 0; K < Runs.size(); ++K) {
+      Run &R = Runs[(Round + K) % Runs.size()];
+      Opts.Threads = R.Threads;
+      double Cpu0 = cpuSeconds();
+      auto Start = std::chrono::steady_clock::now();
+      SuiteEvaluation Suite = evaluateSuite(Programs, Opts);
+      double Wall = wallSeconds(Start, std::chrono::steady_clock::now());
+      double Cpu = cpuSeconds() - Cpu0;
+      R.Wall.push_back(Wall);
+      R.Cpu.push_back(Cpu);
+      R.CpuPerWall.push_back(Cpu / Wall);
+      R.CacheHitRate = Suite.CacheTotals.hitRate();
+      R.Identical = R.Identical && curvesIdentical(Serial, Suite);
     }
-    Runs.push_back(R);
   }
 
-  TextTable Table(
-      {"threads", "seconds", "speedup", "cache hit rate", "curves"});
+  double SerialMedian = quantile(Runs.front().Wall, 0.5);
+  TextTable Table({"threads", "median s", "q1-q3 s", "cpu s", "cpu/wall",
+                   "speedup", "cache hit rate", "curves"});
   for (const Run &R : Runs)
-    Table.addRow({std::to_string(R.Threads), formatDouble(R.Seconds, 3),
-                  formatDouble(R.Speedup, 2) + "x",
+    Table.addRow({std::to_string(R.Threads),
+                  formatDouble(quantile(R.Wall, 0.5), 3),
+                  formatDouble(quantile(R.Wall, 0.25), 3) + "-" +
+                      formatDouble(quantile(R.Wall, 0.75), 3),
+                  formatDouble(quantile(R.Cpu, 0.5), 3),
+                  formatDouble(quantile(R.CpuPerWall, 0.5), 2),
+                  formatDouble(SerialMedian / quantile(R.Wall, 0.5), 2) +
+                      "x",
                   formatPercent(R.CacheHitRate),
                   R.Identical ? "identical" : "DIVERGED"});
   Table.print(std::cout);
@@ -177,6 +213,7 @@ int main() {
        << "  \"bench\": \"suite_scaling\",\n"
        << "  \"suite_programs\": " << Programs.size() << ",\n"
        << "  \"hardware_concurrency\": " << HW << ",\n"
+       << "  \"rounds\": " << Rounds << ",\n"
        << "  \"curves_identical\": " << (AllIdentical ? "true" : "false")
        << ",\n"
        << "  \"cache\": {\"hits\": " << Serial.CacheTotals.Hits
@@ -186,9 +223,16 @@ int main() {
        << "  \"runs\": [\n";
   for (size_t I = 0; I < Runs.size(); ++I) {
     const Run &R = Runs[I];
+    double Median = quantile(R.Wall, 0.5);
     Json << "    {\"threads\": " << R.Threads
-         << ", \"seconds\": " << formatDouble(R.Seconds, 6)
-         << ", \"speedup_vs_serial\": " << formatDouble(R.Speedup, 4)
+         << ", \"seconds\": " << formatDouble(Median, 6)
+         << ", \"seconds_q1\": " << formatDouble(quantile(R.Wall, 0.25), 6)
+         << ", \"seconds_q3\": " << formatDouble(quantile(R.Wall, 0.75), 6)
+         << ", \"cpu_seconds\": " << formatDouble(quantile(R.Cpu, 0.5), 6)
+         << ", \"cpu_per_wall\": "
+         << formatDouble(quantile(R.CpuPerWall, 0.5), 4)
+         << ", \"speedup_vs_serial\": "
+         << formatDouble(SerialMedian / Median, 4)
          << ", \"cache_hit_rate\": " << formatDouble(R.CacheHitRate, 4)
          << ", \"curves_identical\": " << (R.Identical ? "true" : "false")
          << "}" << (I + 1 < Runs.size() ? "," : "") << "\n";

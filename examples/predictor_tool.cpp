@@ -60,7 +60,6 @@
 #include "support/ResultStore.h"
 #include "support/Signal.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "vrp/Audit.h"
 #include "vrp/Trace.h"
 
@@ -255,9 +254,9 @@ int runTool(int argc, char **argv) {
     else if (Arg.rfind("--threads=", 0) == 0) {
       uint64_t Parsed = 0;
       if (!parseUnsigned(Arg.substr(10), Parsed) ||
-          Parsed > ThreadPool::MaxThreads) {
+          Parsed > VRPOptions::MaxThreads) {
         std::cerr << "invalid --threads value: " << Arg << " (expected 0-"
-                  << ThreadPool::MaxThreads << ")\n";
+                  << VRPOptions::MaxThreads << ")\n";
         return ExitUsage;
       }
       Threads = static_cast<unsigned>(Parsed);

@@ -46,7 +46,7 @@
 #include "serve/Supervisor.h"
 #include "support/Process.h"
 #include "support/Signal.h"
-#include "support/ThreadPool.h"
+#include "vrp/Options.h"
 
 #include <exception>
 #include <fstream>
@@ -222,7 +222,7 @@ int runTool(int argc, char **argv) {
       Config.SocketPath = Arg.substr(9);
     else if (Arg.rfind("--threads=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(10, V) || V == 0 || V > ThreadPool::MaxThreads)
+      if (!needUnsigned(10, V) || V == 0 || V > VRPOptions::MaxThreads)
         return ExitUsage;
       Config.Workers = static_cast<unsigned>(V);
     } else if (Arg.rfind("--cache=", 0) == 0)

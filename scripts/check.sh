@@ -12,16 +12,17 @@ for b in build/bench/*; do "$b"; done
 
 # Cross-thread checks under ThreadSanitizer: a separate build dir so
 # instrumented objects never mix with the main build. An analysis runs on
-# one thread, so what is left to check is the worker pool itself, the
-# suite fan-out's Threads=1-vs-Threads=4 determinism contract,
-# predictord's request workers sharing one Service (its response memo
-# and persistent cache), and concurrent readers of one finished result,
-# whose constant reads intern into its range arena.
+# one thread, so what is left to check is evaluateSuite's slot loop (its
+# Threads=1-vs-Threads=4 determinism contract, faulty benchmarks on 4
+# threads and on one thread per benchmark, and the supervisor's retry
+# path on 4), predictord's request workers sharing one Service (its
+# response memo and persistent cache), and concurrent readers of one
+# finished result, whose constant reads intern into its range arena.
 cmake -B build-tsan -G Ninja -DVRP_SANITIZE=thread
-cmake --build build-tsan --target SupportTest ParallelDeterminismTest \
-  ServerTest RangeArenaTest
+cmake --build build-tsan --target ParallelDeterminismTest \
+  FaultToleranceTest SupervisorRetryTest ServerTest RangeArenaTest
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelDeterminism|ServerTest|RangeArenaTest.ConcurrentReaders'
+  -R 'ParallelDeterminism|FaultToleranceTest\.(KOfN|.*Thread)|SupervisorRetryTest\..*FourWorkers|ServerTest|RangeArenaTest.ConcurrentReaders'
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
 # corpus, the fault-injection suite, the structured-error paths, the

@@ -184,6 +184,40 @@ double vrp::rangePredictedFraction(const FinalPredictionMap &Predictions) {
   return static_cast<double>(FromRanges) / Predictions.size();
 }
 
+std::vector<ReportedBranch>
+vrp::reportedBranches(const Function &F, const FunctionVRPResult &FR,
+                      AnalysisCache *Cache, const std::string &Predictor) {
+  std::vector<ReportedBranch> Rows;
+  for (const auto &B : F.blocks())
+    if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
+      Rows.push_back({CBr, 0.5, Predictor});
+  if (Rows.empty())
+    return Rows;
+
+  FinalPredictionMap Final = finalizePredictions(F, FR, Cache);
+  BranchProbMap Alt;
+  if (Predictor == "ball-larus")
+    Alt = predictBallLarus(F);
+  else if (Predictor == "90-50")
+    Alt = predictNinetyFifty(F);
+  else if (Predictor == "random")
+    Alt = predictRandom(F, 1234);
+
+  for (ReportedBranch &Row : Rows) {
+    if (Predictor != "vrp") {
+      Row.ProbTrue = Alt.at(Row.Branch);
+      continue;
+    }
+    const FinalPrediction &P = Final.at(Row.Branch);
+    Row.ProbTrue = P.ProbTrue;
+    Row.Source = P.Source == PredictionSource::Range ? "ranges"
+                 : P.Source == PredictionSource::Heuristic
+                     ? "heuristic fallback"
+                     : "unreachable";
+  }
+  return Rows;
+}
+
 void vrp::renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
                                  AnalysisCache *Cache,
                                  const PredictionReportOptions &Options,
@@ -192,11 +226,9 @@ void vrp::renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
     const FunctionVRPResult *FR = VRP.forFunction(F.get());
     if (!FR)
       continue;
-    bool Any = false;
-    for (const auto &B : F->blocks())
-      if (isa<CondBrInst>(B->terminator()))
-        Any = true;
-    if (!Any)
+    std::vector<ReportedBranch> Rows =
+        reportedBranches(*F, *FR, Cache, Options.Predictor);
+    if (Rows.empty())
       continue;
 
     OS << "fn @" << F->name() << ":";
@@ -204,38 +236,11 @@ void vrp::renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
       OS << " (budget exhausted; heuristic fallback)";
     OS << "\n";
     TextTable Table({"line", "branch", "P(taken)", "source"});
-
-    FinalPredictionMap Final = finalizePredictions(*F, *FR, Cache);
-    BranchProbMap Alt;
-    if (Options.Predictor == "ball-larus")
-      Alt = predictBallLarus(*F);
-    else if (Options.Predictor == "90-50")
-      Alt = predictNinetyFifty(*F);
-    else if (Options.Predictor == "random")
-      Alt = predictRandom(*F, 1234);
-
-    for (const auto &B : F->blocks()) {
-      const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator());
-      if (!CBr)
-        continue;
-      double Prob;
-      std::string SourceTag;
-      if (Options.Predictor == "vrp") {
-        const FinalPrediction &P = Final.at(CBr);
-        Prob = P.ProbTrue;
-        SourceTag = P.Source == PredictionSource::Range ? "ranges"
-                    : P.Source == PredictionSource::Heuristic
-                        ? "heuristic fallback"
-                        : "unreachable";
-      } else {
-        Prob = Alt.at(CBr);
-        SourceTag = Options.Predictor;
-      }
-      std::string Desc =
-          instructionToString(*cast<Instruction>(CBr->cond()));
-      Table.addRow({CBr->loc().str(), Desc, formatPercent(Prob),
-                    SourceTag});
-    }
+    for (const ReportedBranch &Row : Rows)
+      Table.addRow(
+          {Row.Branch->loc().str(),
+           instructionToString(*cast<Instruction>(Row.Branch->cond())),
+           formatPercent(Row.ProbTrue), Row.Source});
     Table.print(OS);
 
     if (Options.DumpRanges && Options.Predictor == "vrp") {

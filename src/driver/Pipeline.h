@@ -134,6 +134,25 @@ void accumulateModuleStats(VRPStats &Stats, const ModuleVRPResult &VRP);
 void accumulatePredictionStats(VRPStats &Stats,
                                const FinalPredictionMap &Predictions);
 
+/// One conditional branch as a prediction report shows it.
+struct ReportedBranch {
+  const CondBrInst *Branch = nullptr;
+  double ProbTrue = 0.5;
+  /// "ranges", "heuristic fallback" or "unreachable" for the "vrp"
+  /// predictor; any other predictor's own name.
+  std::string Source;
+};
+
+/// The per-branch decisions both report renderers print (predictor_tool's
+/// text table and predictord's `analyze` JSON): every conditional branch
+/// of \p F in block order, with the probability \p Predictor ("vrp",
+/// "ball-larus", "90-50" or "random") gives it and where that came from.
+/// Empty when \p F has no conditional branch; the reports skip it.
+std::vector<ReportedBranch> reportedBranches(const Function &F,
+                                             const FunctionVRPResult &FR,
+                                             AnalysisCache *Cache,
+                                             const std::string &Predictor);
+
 /// What renderPredictionReport annotates each branch with.
 struct PredictionReportOptions {
   /// Which predictor's probability annotates each branch: "vrp" (the

@@ -11,11 +11,14 @@
 #include "support/FaultInjection.h"
 #include "support/Signal.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "vrp/Audit.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 using namespace vrp;
 
@@ -443,7 +446,6 @@ SuiteEvaluation vrp::evaluateSuite(
     const std::vector<const BenchmarkProgram *> &Programs,
     const VRPOptions &Opts, const SuiteRunConfig &Config) {
   SuiteEvaluation Suite;
-  unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
 
   // Persistent result store. Lookups see only the snapshot frozen here, so
   // hit/miss patterns — and every counter derived from them — are the same
@@ -455,19 +457,25 @@ SuiteEvaluation vrp::evaluateSuite(
   if (!Config.CachePath.empty())
     PCache = PersistentCache::open(Config.CachePath, Config.CacheVerify);
 
-  // Body of one suite slot. evaluateProgram already converts every
+  // One attempt at one benchmark. evaluateProgram already converts every
   // pipeline failure into a structured result; the "worker" injection
-  // site throws *outside* it to exercise the task-failure aggregation
-  // path below.
-  auto runSlot = [&](const BenchmarkProgram &P, const VRPOptions &SlotOpts) {
-    fault::ScopedKey Key(P.Name);
-    if (fault::shouldFail("worker"))
-      throw std::runtime_error("injected worker-task failure");
-    return evaluateProgram(P, SlotOpts, PCache.get());
-  };
-  auto workerFailure = [](const std::string &Name, std::string Message) {
+  // site throws outside it. This is the one place an escaped exception
+  // becomes a structured worker-task failure, so one bad benchmark never
+  // stops the others.
+  auto attempt = [&](const BenchmarkProgram &P) -> BenchmarkEvaluation {
+    std::string Message;
+    try {
+      fault::ScopedKey Key(P.Name);
+      if (fault::shouldFail("worker"))
+        throw std::runtime_error("injected worker-task failure");
+      return evaluateProgram(P, Opts, PCache.get());
+    } catch (const std::exception &E) {
+      Message = E.what();
+    } catch (...) {
+      Message = "unknown exception";
+    }
     BenchmarkEvaluation Eval;
-    Eval.Name = Name;
+    Eval.Name = P.Name;
     return failEvaluation(std::move(Eval), ErrorCategory::Internal,
                           "worker-task", std::move(Message));
   };
@@ -480,36 +488,13 @@ SuiteEvaluation vrp::evaluateSuite(
            F.Message.find("injected") != std::string::npos;
   };
 
-  // The supervisor wrapper: no exception escapes a slot (so one bad
-  // benchmark can never abort the fan-out), and a transient first
-  // failure gets exactly one more attempt.
-  auto runSupervised = [&](const BenchmarkProgram &P,
-                           const VRPOptions &SlotOpts) {
-    auto attempt = [&]() -> BenchmarkEvaluation {
-      try {
-        return runSlot(P, SlotOpts);
-      } catch (const std::exception &E) {
-        return workerFailure(P.Name, E.what());
-      } catch (...) {
-        return workerFailure(P.Name, "unknown exception");
-      }
-    };
-    BenchmarkEvaluation Eval = attempt();
-    if (Eval.Ok || !Eval.Failure || !transient(*Eval.Failure))
-      return Eval;
-    telemetry::count(telemetry::Counter::SupervisorRetries);
-    BenchmarkEvaluation Second = attempt();
-    Second.Retried = true;
-    return Second;
-  };
-
   // One slot. Cooperative interruption (SIGTERM/SIGINT via
   // support/Signal.h): benchmarks already running finish and commit to
   // the store normally; ones that have not started yet fail structurally
   // with stage "interrupted" and never touch the store, so a rerun
-  // evaluates them afresh.
-  auto evalSlot = [&](const BenchmarkProgram &P,
-                      const VRPOptions &SlotOpts) -> BenchmarkEvaluation {
+  // evaluates them afresh. Under the supervisor a transient first
+  // failure gets exactly one more attempt.
+  auto evalSlot = [&](const BenchmarkProgram &P) -> BenchmarkEvaluation {
     if (stopsignal::stopRequested()) {
       BenchmarkEvaluation Eval;
       Eval.Name = P.Name;
@@ -517,36 +502,46 @@ SuiteEvaluation vrp::evaluateSuite(
                             "interrupted",
                             "stop requested before this benchmark started");
     }
-    return Config.SupervisorRetry ? runSupervised(P, SlotOpts)
-                                  : runSlot(P, SlotOpts);
+    BenchmarkEvaluation Eval = attempt(P);
+    if (!Config.SupervisorRetry || Eval.Ok || !Eval.Failure ||
+        !transient(*Eval.Failure))
+      return Eval;
+    telemetry::count(telemetry::Counter::SupervisorRetries);
+    BenchmarkEvaluation Second = attempt(P);
+    Second.Retried = true;
+    return Second;
   };
 
-  if (Threads > 1 && Programs.size() > 1) {
-    // Benchmarks fan out across the pool (each evaluateProgram compiles,
-    // profiles and predicts its own module on its worker — fully
-    // independent). Slot I holds program I, so the result order (and
-    // every curve) is identical to the serial loop. Escaped task
-    // exceptions are ALL collected — every other slot still completes —
-    // and each failed slot gets a structured worker-task failure. (Under
-    // the supervisor no exception escapes, so Failed stays empty.)
-    ThreadPool Pool(Threads);
-    std::vector<BenchmarkEvaluation> Out(Programs.size());
-    std::vector<TaskFailure> Failed = Pool.parallelForCollect(
-        Programs.size(),
-        [&](size_t I) { Out[I] = evalSlot(*Programs[I], Opts); });
-    for (const TaskFailure &F : Failed)
-      Out[F.Index] = workerFailure(Programs[F.Index]->Name,
-                                   ParallelError::describe(F.Error));
-    Suite.Benchmarks = std::move(Out);
-  } else {
-    for (const BenchmarkProgram *P : Programs) {
-      try {
-        Suite.Benchmarks.push_back(evalSlot(*P, Opts));
-      } catch (const std::exception &E) {
-        Suite.Benchmarks.push_back(workerFailure(P->Name, E.what()));
-      }
+  // Every benchmark runs through evalSlot, at every thread count. Each
+  // compiles, profiles and predicts its own module, so slots share only
+  // state that synchronizes itself: the persistent cache, the constant
+  // pools and the telemetry shards. Slot I holds program I, so the merge
+  // below, every curve and the failure order are the serial loop's. The
+  // calling thread is one participant; the others pull indices from the
+  // same counter and are all joined before the merge.
+  Suite.Benchmarks.resize(Programs.size());
+  std::atomic<size_t> Next{0};
+  auto drain = [&] {
+    for (size_t I = Next++; I < Programs.size(); I = Next++)
+      Suite.Benchmarks[I] = evalSlot(*Programs[I]);
+  };
+  unsigned Requested = Opts.Threads;
+  if (Requested == 0) // Auto: the hardware's count, 1 when unknown.
+    Requested = std::max(1u, std::thread::hardware_concurrency());
+  size_t Participants = std::min<size_t>(
+      {Requested, VRPOptions::MaxThreads, Programs.size()});
+  std::vector<std::thread> Helpers;
+  Helpers.reserve(Participants);
+  for (size_t T = 1; T < Participants; ++T) {
+    try {
+      Helpers.emplace_back(drain);
+    } catch (const std::system_error &) {
+      break; // The caller and the threads started drain every slot.
     }
   }
+  drain();
+  for (std::thread &H : Helpers)
+    H.join();
 
   for (const BenchmarkEvaluation &B : Suite.Benchmarks) {
     Suite.CacheTotals += B.Cache;

@@ -115,8 +115,8 @@ struct SuiteEvaluation {
   AnalysisCacheStats CacheTotals;
   /// Summed per-benchmark VRP counters (deterministic at any Threads).
   VRPStats VRPTotals;
-  /// Every per-benchmark failure, in benchmark order. Under the parallel
-  /// fan-out this aggregates ALL failed tasks, not just the first.
+  /// Every per-benchmark failure, in benchmark order, at any thread
+  /// count: one failed benchmark never stops the others.
   std::vector<FailureInfo> Failures;
   /// Summed BenchmarkEvaluation::DegradedFunctions across benchmarks.
   unsigned DegradedFunctions = 0;
@@ -145,9 +145,10 @@ struct SuiteEvaluation {
 /// supervisor and the persistent result cache. Defaults reproduce the
 /// plain evaluateSuite behavior exactly.
 struct SuiteRunConfig {
-  /// Supervise benchmark slots: an escaped worker exception becomes a
-  /// structured failure instead of a pool task failure, and a *transient*
-  /// failure (budget/deadline or injected fault) is retried once.
+  /// Supervise benchmark slots: a *transient* failure (budget/deadline
+  /// or injected fault) is retried once. Without it the first attempt
+  /// stands. Either way an exception that escapes a benchmark becomes its
+  /// structured "worker-task" failure.
   bool SupervisorRetry = false;
   /// Persistent content-addressed result cache (analysis/PersistentCache):
   /// warm runs restore per-function VRP results bitwise-identically from
@@ -173,10 +174,12 @@ BranchProbMap predictModule(PredictorKind Kind, Module &M,
                             AnalysisCache *Cache = nullptr,
                             PersistentCache *PCache = nullptr);
 
-/// Runs the full §5 protocol over \p Programs. With Opts.Threads > 1 (or
-/// 0 = auto), benchmarks are fanned out across a worker pool — each
-/// evaluateProgram is independent — and results are merged in benchmark
-/// order, so the outcome is identical to a serial run at any thread count.
+/// Runs the full §5 protocol over \p Programs. Each benchmark is one slot
+/// (evaluateProgram is independent per benchmark). With Opts.Threads > 1
+/// (or 0 = auto) the calling thread and up to Threads-1 plain threads,
+/// never more than there are programs, take slots from one counter, and
+/// slot I holds program I, so the outcome is identical to a serial run at
+/// any thread count.
 SuiteEvaluation evaluateSuite(
     const std::vector<const BenchmarkProgram *> &Programs,
     const VRPOptions &Opts);

@@ -474,7 +474,7 @@ void InterprocDriver::sweepLoop() {
   while (!DirtySccs.empty()) {
     runSweep();
     ++Sweeps;
-    if (DeadlineBlown || !Opts.Interprocedural)
+    if (DeadlineBlown)
       break;
     refreshParams();
   }
@@ -497,7 +497,9 @@ void InterprocDriver::degradeRemaining() {
 
 void InterprocDriver::runIntraprocedural() {
   // No cross-function information: the whole module is a single wave
-  // (the deadline is probed once at its boundary).
+  // (the deadline is probed once at its boundary). Every function without
+  // a result is analyzed; on an incremental run the rebound ones keep
+  // theirs, since no other function's change can reach them.
   PropagationContext Ctx;
   Ctx.ParamRange = [](const Param *) { return ValueRange::bottom(); };
   Ctx.CallResultRange = [](const CallInst *) { return ValueRange::bottom(); };
@@ -510,6 +512,8 @@ void InterprocDriver::runIntraprocedural() {
     return;
   }
   for (unsigned I = 0; I < Fns.size(); ++I) {
+    if (HasResult[I])
+      continue;
     Results[I] = analyzeOne(*Fns[I], Ctx);
     HasResult[I] = 1;
     EverAnalyzed[I] = 1;
@@ -680,42 +684,43 @@ InterprocDriver::runIncremental(const Module &PrevModule,
       markDirty(I);
   }
   telemetry::count(telemetry::Counter::IncrementalFunctionsReused, Reused);
+  if (!Opts.Interprocedural) {
+    runIntraprocedural();
+    return finalize();
+  }
 
   // Seed the interprocedural tables with the previous run's converged
   // state, translated to this module by function name and parameter
   // index. Table entries never carry symbolic bounds (sanitizeForCallee),
   // so the ranges themselves are safe to carry across modules.
-  if (Opts.Interprocedural) {
-    CallGraph PrevCG(PrevModule);
-    RangeStats Scratch;
-    RangeOps Ops(Opts, Scratch);
-    std::map<std::string, const Function *> NewByName;
-    for (const Function *F : Fns)
-      NewByName.emplace(F->name(), F);
-    auto PrevResultOf =
-        [&Previous](const Function *F) -> const FunctionVRPResult * {
-      return Previous.forFunction(F);
-    };
-    for (const auto &PF : PrevModule.functions()) {
-      auto NewIt = NewByName.find(PF->name());
-      if (NewIt == NewByName.end())
-        continue;
-      const Function *NewF = NewIt->second;
-      const FunctionVRPResult *PR = Previous.forFunction(PF.get());
-      if (PR) {
-        ValueRange Ret = computeReturnRange(*PF, *PR, Ops);
-        if (!Ret.isBottom())
-          ReturnTable[NewF] = Ret;
-      }
-      if (!PrevCG.isRecursive(PF.get())) {
-        unsigned NumParams =
-            std::min(PF->numParams(), NewF->numParams());
-        for (unsigned PI = 0; PI < NumParams; ++PI) {
-          ValueRange Merged =
-              computeParamRange(PF.get(), PI, PrevCG, PrevResultOf, Ops);
-          if (!Merged.isBottom())
-            ParamTable[NewF->param(PI)] = Merged;
-        }
+  CallGraph PrevCG(PrevModule);
+  RangeStats Scratch;
+  RangeOps Ops(Opts, Scratch);
+  std::map<std::string, const Function *> NewByName;
+  for (const Function *F : Fns)
+    NewByName.emplace(F->name(), F);
+  auto PrevResultOf =
+      [&Previous](const Function *F) -> const FunctionVRPResult * {
+    return Previous.forFunction(F);
+  };
+  for (const auto &PF : PrevModule.functions()) {
+    auto NewIt = NewByName.find(PF->name());
+    if (NewIt == NewByName.end())
+      continue;
+    const Function *NewF = NewIt->second;
+    const FunctionVRPResult *PR = Previous.forFunction(PF.get());
+    if (PR) {
+      ValueRange Ret = computeReturnRange(*PF, *PR, Ops);
+      if (!Ret.isBottom())
+        ReturnTable[NewF] = Ret;
+    }
+    if (!PrevCG.isRecursive(PF.get())) {
+      unsigned NumParams = std::min(PF->numParams(), NewF->numParams());
+      for (unsigned PI = 0; PI < NumParams; ++PI) {
+        ValueRange Merged =
+            computeParamRange(PF.get(), PI, PrevCG, PrevResultOf, Ops);
+        if (!Merged.isBottom())
+          ParamTable[NewF->param(PI)] = Merged;
       }
     }
   }

@@ -47,8 +47,8 @@ struct ModuleVRPResult {
   /// Interprocedural sweeps executed (bottom-up passes over the wave
   /// schedule; 1 when nothing needed refinement).
   unsigned Rounds = 0;
-  /// Waves in the SCC condensation's layering (0 for intraprocedural
-  /// runs, which never build the call graph).
+  /// Waves in the SCC condensation's layering. Every run builds the call
+  /// graph, so intraprocedural runs report it too.
   unsigned Waves = 0;
   unsigned FunctionsCloned = 0;
   /// Functions whose propagation hit a resource budget (step cap or
@@ -108,7 +108,9 @@ ModuleVRPResult runModuleVRP(const Module &M, const VRPOptions &Opts,
 /// The changed functions seed the dirty set and the scheduler re-analyzes
 /// exactly the invalidated cone: callers re-run only when a callee's
 /// return range actually changed, callees only when the merged jump
-/// function into them changed. Result::Reanalyzed reports the cone.
+/// function into them changed. Without Opts.Interprocedural no range
+/// crosses a call, so the cone is exactly the changed functions.
+/// Result::Reanalyzed reports the cone.
 ///
 /// Cloning is not applied in incremental mode (the module is not
 /// mutated); pass Opts with EnableCloning off.

@@ -232,50 +232,22 @@ Response Service::attempt(const Request &Req, bool ForceDegrade) {
       const FunctionVRPResult *FR = VRP.forFunction(F.get());
       if (!FR)
         continue;
-      bool Any = false;
-      for (const auto &B : F->blocks())
-        if (isa<CondBrInst>(B->terminator()))
-          Any = true;
-      if (!Any)
+      std::vector<ReportedBranch> Rows =
+          reportedBranches(*F, *FR, &Cache, Req.Predictor);
+      if (Rows.empty())
         continue;
       OS << (FirstFn ? "" : ",") << "{\"name\":\"" << jsonEscape(F->name())
          << "\",\"degraded\":" << (FR->Degraded ? "true" : "false")
          << ",\"branches\":[";
       FirstFn = false;
-
-      FinalPredictionMap Final = finalizePredictions(*F, *FR, &Cache);
-      BranchProbMap Alt;
-      if (Req.Predictor == "ball-larus")
-        Alt = predictBallLarus(*F);
-      else if (Req.Predictor == "90-50")
-        Alt = predictNinetyFifty(*F);
-      else if (Req.Predictor == "random")
-        Alt = predictRandom(*F, 1234);
-
       bool FirstBr = true;
-      for (const auto &B : F->blocks()) {
-        const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator());
-        if (!CBr)
-          continue;
-        double Prob;
-        std::string SourceTag;
-        if (Req.Predictor == "vrp") {
-          const FinalPrediction &P = Final.at(CBr);
-          Prob = P.ProbTrue;
-          SourceTag = P.Source == PredictionSource::Range ? "ranges"
-                      : P.Source == PredictionSource::Heuristic
-                          ? "heuristic fallback"
-                          : "unreachable";
-        } else {
-          Prob = Alt.at(CBr);
-          SourceTag = Req.Predictor;
-        }
+      for (const ReportedBranch &Row : Rows) {
         OS << (FirstBr ? "" : ",") << "{\"line\":\""
-           << jsonEscape(CBr->loc().str()) << "\",\"cond\":\""
-           << jsonEscape(
-                  instructionToString(*cast<Instruction>(CBr->cond())))
-           << "\",\"prob\":\"" << hexFloat(Prob) << "\",\"source\":\""
-           << jsonEscape(SourceTag) << "\"}";
+           << jsonEscape(Row.Branch->loc().str()) << "\",\"cond\":\""
+           << jsonEscape(instructionToString(
+                  *cast<Instruction>(Row.Branch->cond())))
+           << "\",\"prob\":\"" << hexFloat(Row.ProbTrue)
+           << "\",\"source\":\"" << jsonEscape(Row.Source) << "\"}";
         FirstBr = false;
       }
       OS << "]}";

@@ -17,8 +17,9 @@
 ///   - `predict` compiles the source and renders the *identical* report
 ///     predictor_tool prints for the same file — bitwise, enforced by
 ///     scripts/check.sh — via driver/Pipeline's renderPredictionReport;
-///   - `analyze` returns the per-branch decisions as deterministic JSON
-///     (hex-float probabilities, module order);
+///   - `analyze` returns the same per-branch decisions (driver/Pipeline's
+///     reportedBranches) as deterministic JSON (hex-float probabilities,
+///     module order);
 ///   - failures come back as structured error responses carrying the
 ///     pipeline's category/site/message, never as a dropped connection;
 ///   - a transient fault (injected, or an escaped exception) is retried

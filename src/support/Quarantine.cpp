@@ -2,9 +2,6 @@
 
 #include "support/Quarantine.h"
 
-#include <algorithm>
-#include <tuple>
-
 namespace vrp {
 namespace quarantine {
 
@@ -36,44 +33,6 @@ std::string Record::str() const {
   if (!Detail.empty())
     S += ": " + Detail;
   return S;
-}
-
-void Registry::add(Record R) {
-  std::lock_guard<std::mutex> L(M);
-  Records.push_back(std::move(R));
-}
-
-bool Registry::isQuarantined(const std::string &Context,
-                             const std::string &Function) const {
-  std::lock_guard<std::mutex> L(M);
-  for (const Record &R : Records)
-    if (R.Context == Context && R.Function == Function)
-      return true;
-  return false;
-}
-
-std::vector<Record> Registry::records() const {
-  std::vector<Record> Out;
-  {
-    std::lock_guard<std::mutex> L(M);
-    Out = Records;
-  }
-  std::stable_sort(Out.begin(), Out.end(),
-                   [](const Record &A, const Record &B) {
-                     return std::tie(A.Context, A.Function, A.Why) <
-                            std::tie(B.Context, B.Function, B.Why);
-                   });
-  return Out;
-}
-
-size_t Registry::size() const {
-  std::lock_guard<std::mutex> L(M);
-  return Records.size();
-}
-
-void Registry::clear() {
-  std::lock_guard<std::mutex> L(M);
-  Records.clear();
 }
 
 } // namespace quarantine

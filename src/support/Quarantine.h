@@ -24,9 +24,7 @@
 #define VRP_SUPPORT_QUARANTINE_H
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace vrp {
 namespace quarantine {
@@ -58,29 +56,6 @@ struct Record {
 
   /// One-line rendering: "@fn in ctx: reason (detail)".
   std::string str() const;
-};
-
-/// Thread-safe collection of quarantine records. Suite evaluation fans
-/// benchmarks out across a pool; each worker adds records concurrently
-/// and the reporter reads them once the run settles.
-class Registry {
-public:
-  void add(Record R);
-
-  /// True when \p Function in \p Context has at least one record.
-  bool isQuarantined(const std::string &Context,
-                     const std::string &Function) const;
-
-  /// All records, sorted by (Context, Function, reason) so reports and
-  /// JSON output are deterministic regardless of worker interleaving.
-  std::vector<Record> records() const;
-
-  size_t size() const;
-  void clear();
-
-private:
-  mutable std::mutex M;
-  std::vector<Record> Records;
 };
 
 } // namespace quarantine

@@ -183,7 +183,7 @@ void zeroShard(Shard &S) {
 }
 
 /// Owns one thread's shard; on thread exit folds it into Retired so its
-/// counts survive (pool workers come and go between snapshots).
+/// counts survive (suite threads come and go between snapshots).
 struct ShardHandle {
   Shard S;
   ShardHandle() {

@@ -113,12 +113,18 @@ struct VRPOptions {
   /// Clone procedures whose call-site contexts diverge (§3.7).
   bool EnableCloning = false;
 
-  /// Benchmarks evaluateSuite runs at once. 1 = serial; 0 = auto
-  /// (hardware_concurrency, degrading to serial when unknown). Results
-  /// are byte-identical at every setting — threading only changes
-  /// wall-clock time (see support/ThreadPool.h). One module is always
-  /// analyzed on one thread, so nothing else reads this.
+  /// Benchmarks evaluateSuite runs at once, on the calling thread plus
+  /// Threads-1 plain threads (never more than there are benchmarks). 1 =
+  /// serial; 0 = auto (hardware_concurrency, 1 when unknown). Results are
+  /// byte-identical at every setting — threading only changes wall-clock
+  /// time. One module is always analyzed on one thread, so nothing else
+  /// reads this.
   unsigned Threads = 1;
+
+  /// Ceiling on Threads, so a huge request (an unsigned wraparound, say)
+  /// cannot exhaust the process's thread quota: evaluateSuite clamps to
+  /// it, and predictor_tool and predictord reject a larger --threads.
+  static constexpr unsigned MaxThreads = 256;
 
   /// Resource budgets (step caps, deadline) with heuristic degradation.
   /// Defaults leave every budget unlimited.

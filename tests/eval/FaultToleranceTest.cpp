@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 using namespace vrp;
@@ -194,6 +195,54 @@ TEST_F(FaultToleranceTest, FailuresReportedInBenchmarkOrderUnderThreads) {
     EXPECT_EQ(Suite.Failures[I].Category, Reference.Failures[I].Category);
     EXPECT_EQ(Suite.Failures[I].Stage, Reference.Failures[I].Stage);
   }
+}
+
+// evaluateSuite caps its participants at the program count, so a request
+// for every thread there is starts one per benchmark (18 beside the
+// calling thread on the full suite) and must still reproduce the serial
+// run: the same curves, and the same failures in benchmark order. An
+// empty suite starts nothing and evaluates nothing.
+TEST_F(FaultToleranceTest, UnboundedThreadRequestMatchesSerialRun) {
+  std::vector<const BenchmarkProgram *> Programs = allPrograms();
+  ASSERT_GE(Programs.size(), 8u);
+  const std::string Spec = "worker@" + Programs[5]->Name + ":0,parse@" +
+                           Programs[1]->Name + ":0,interp@" +
+                           Programs.back()->Name + ":0";
+
+  VRPOptions Serial;
+  Serial.Interprocedural = true;
+  Serial.Threads = 1;
+  VRPOptions Unbounded = Serial;
+  Unbounded.Threads = std::numeric_limits<unsigned>::max();
+
+  ASSERT_TRUE(fault::configure(Spec));
+  SuiteEvaluation A = evaluateSuite(Programs, Serial);
+  ASSERT_TRUE(fault::configure(Spec));
+  SuiteEvaluation B = evaluateSuite(Programs, Unbounded);
+  fault::reset();
+
+  ASSERT_EQ(A.Benchmarks.size(), Programs.size());
+  ASSERT_EQ(B.Benchmarks.size(), Programs.size());
+  for (size_t I = 0; I < Programs.size(); ++I)
+    expectIdenticalEvaluations(A.Benchmarks[I], B.Benchmarks[I]);
+  ASSERT_EQ(A.Failures.size(), 3u);
+  ASSERT_EQ(B.Failures.size(), A.Failures.size());
+  for (size_t I = 0; I < A.Failures.size(); ++I)
+    EXPECT_EQ(B.Failures[I].str(), A.Failures[I].str());
+  for (PredictorKind Kind : allPredictors()) {
+    expectIdenticalCurves(A.AveragedUnweighted.at(Kind),
+                          B.AveragedUnweighted.at(Kind),
+                          predictorName(Kind));
+    expectIdenticalCurves(A.AveragedWeighted.at(Kind),
+                          B.AveragedWeighted.at(Kind), predictorName(Kind));
+  }
+
+  VRPOptions Four = Serial;
+  Four.Threads = 4;
+  SuiteEvaluation Empty = evaluateSuite({}, Four);
+  EXPECT_TRUE(Empty.Benchmarks.empty());
+  EXPECT_TRUE(Empty.Failures.empty());
+  EXPECT_EQ(Empty.VRPTotals.FunctionsAnalyzed, 0u);
 }
 
 TEST_F(FaultToleranceTest, StepBudgetDegradesToBallLarusFallback) {

@@ -4,8 +4,9 @@
 //
 // The parallel evaluation engine's core contract: results are
 // byte-identical to the serial run at any thread count. Runs the suite
-// fan-out (evaluateSuite) and the per-function fan-out (runModuleVRP)
-// at Threads=1 and Threads=4 and compares every curve and prediction.
+// fan-out (evaluateSuite) and a module analysis (runModuleVRP, which
+// reads no thread count) at Threads=1 and Threads=4 and compares every
+// curve and prediction.
 // This binary is also the target scripts/check.sh runs under
 // -DVRP_SANITIZE=thread, so it keeps the program set small.
 //
@@ -57,7 +58,7 @@ TEST(ParallelDeterminismTest, SuiteCurvesMatchSerialRun) {
   for (size_t I = 0; I < A.Benchmarks.size(); ++I) {
     const BenchmarkEvaluation &X = A.Benchmarks[I];
     const BenchmarkEvaluation &Y = B.Benchmarks[I];
-    EXPECT_EQ(X.Name, Y.Name) << "parallelMap must preserve program order";
+    EXPECT_EQ(X.Name, Y.Name) << "slot I must hold program I";
     ASSERT_TRUE(X.Ok) << X.Name << ": " << X.Error;
     ASSERT_TRUE(Y.Ok) << Y.Name << ": " << Y.Error;
     EXPECT_EQ(X.VRPRangeFraction, Y.VRPRangeFraction) << X.Name;
@@ -83,8 +84,9 @@ TEST(ParallelDeterminismTest, SuiteCurvesMatchSerialRun) {
 }
 
 TEST(ParallelDeterminismTest, ModuleVRPFunctionFanOutMatchesSerialRun) {
-  // The intraprocedural fan-out inside runModuleVRP: every per-branch
-  // probability and range fraction must match the serial analysis.
+  // runModuleVRP analyzes on one thread whatever Threads says: every
+  // per-branch probability and range fraction must match the serial
+  // analysis.
   for (const BenchmarkProgram *P : smallSuite()) {
     VRPOptions Serial;
     Serial.Interprocedural = true;

@@ -427,6 +427,44 @@ TEST(SccSchedulerTest, IncrementalReanalyzesLoaderWhenAnotherFunctionStores) {
   EXPECT_FALSE(NextBranches.begin()->second.FromRanges);
 }
 
+// Without Opts.Interprocedural no range crosses a call, incrementally or
+// not. The incremental driver used to run the interprocedural sweep
+// whatever the options said, and the sweep's return table reached
+// callers in later waves: from the unrelated base, main's g() calls read
+// [7:7] instead of ⊥, and its `g() > 5` branch was predicted from ranges
+// instead of the heuristics.
+TEST(SccSchedulerTest, IntraproceduralIncrementalRunMatchesColdRun) {
+  auto source = [](const char *HBody) {
+    return std::string("fn g() { return 7; }\n"
+                       "fn h(x) { return ") +
+           HBody + R"(; }
+      fn main() {
+        var s = 0;
+        for (var i = 0; i < g(); i = i + 1) { s = s + h(i); }
+        if (g() > 5) { s = s + 1; }
+        return s;
+      }
+    )";
+  };
+  const VRPOptions Intra;
+  ASSERT_FALSE(Intra.Interprocedural);
+  auto Base = compile("fn main() { return 0; }\n", Intra);
+  auto Prev = compile(source("x + 2"), Intra);
+  auto Next = compile(source("x + 3"), Intra);
+
+  ModuleVRPResult RBase = runModuleVRP(*Base->IR, Intra);
+  ModuleVRPResult RFromBase =
+      runModuleVRPIncremental(*Prev->IR, Intra, *Base->IR, RBase);
+  ModuleVRPResult RPrev = runModuleVRP(*Prev->IR, Intra);
+  EXPECT_EQ(fingerprint(*Prev->IR, RFromBase), fingerprint(*Prev->IR, RPrev));
+
+  ModuleVRPResult REdit =
+      runModuleVRPIncremental(*Next->IR, Intra, *Prev->IR, RPrev);
+  ModuleVRPResult RNext = runModuleVRP(*Next->IR, Intra);
+  EXPECT_EQ(namesOf(REdit.Reanalyzed), (std::set<std::string>{"h"}));
+  EXPECT_EQ(fingerprint(*Next->IR, REdit), fingerprint(*Next->IR, RNext));
+}
+
 // Two float constants that agree to six decimals print alike
 // (`0.000005`). A fingerprint over printed IR text matched them and
 // reused the old @main result (51.5% instead of 54.5%); the structural
