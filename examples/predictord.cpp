@@ -48,6 +48,8 @@
 #include "support/Signal.h"
 #include "vrp/Options.h"
 
+#include <climits>
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -212,24 +214,31 @@ int runTool(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto needUnsigned = [&](size_t Prefix, uint64_t &Out) {
-      if (parseUnsigned(Arg.substr(Prefix), Out))
+    // A number in [Lo, Hi]; anything else is a usage error that names
+    // the flag and, when it has one, its range.
+    auto needUnsigned = [&](size_t Prefix, uint64_t &Out, uint64_t Lo = 0,
+                            uint64_t Hi = UINT64_MAX) {
+      if (parseUnsigned(Arg.substr(Prefix), Out) && Out >= Lo && Out <= Hi)
         return true;
-      std::cerr << "invalid value: " << Arg << "\n";
+      std::cerr << "invalid " << Arg.substr(0, Prefix - 1)
+                << " value: " << Arg;
+      if (Lo != 0 || Hi != UINT64_MAX)
+        std::cerr << " (expected " << Lo << "-" << Hi << ")";
+      std::cerr << "\n";
       return false;
     };
     if (Arg.rfind("--socket=", 0) == 0)
       Config.SocketPath = Arg.substr(9);
     else if (Arg.rfind("--threads=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(10, V) || V == 0 || V > VRPOptions::MaxThreads)
+      if (!needUnsigned(10, V, 1, VRPOptions::MaxThreads))
         return ExitUsage;
       Config.Workers = static_cast<unsigned>(V);
     } else if (Arg.rfind("--cache=", 0) == 0)
       Config.Service.CachePath = Arg.substr(8);
     else if (Arg.rfind("--max-queue=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(12, V) || V == 0)
+      if (!needUnsigned(12, V, 1))
         return ExitUsage;
       Config.Admission.MaxQueue = static_cast<size_t>(V);
     } else if (Arg.rfind("--degrade-depth=", 0) == 0) {
@@ -239,7 +248,7 @@ int runTool(int argc, char **argv) {
       Config.Admission.DegradeDepth = static_cast<size_t>(V);
     } else if (Arg.rfind("--max-conns=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(12, V) || V == 0)
+      if (!needUnsigned(12, V, 1, UINT_MAX))
         return ExitUsage;
       Config.MaxConnections = static_cast<unsigned>(V);
     } else if (Arg.rfind("--deadline=", 0) == 0) {
@@ -252,12 +261,12 @@ int runTool(int argc, char **argv) {
       Config.Service.ResponseMemo = false;
     else if (Arg.rfind("--workers=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(10, V) || V == 0 || V > 64)
+      if (!needUnsigned(10, V, 1, 64))
         return ExitUsage;
       FleetWorkers = static_cast<unsigned>(V);
     } else if (Arg.rfind("--restart-budget=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(17, V) || V == 0)
+      if (!needUnsigned(17, V, 1, UINT_MAX))
         return ExitUsage;
       Fleet.RestartBudget = static_cast<unsigned>(V);
     } else if (Arg.rfind("--restart-window-ms=", 0) == 0) {
@@ -268,17 +277,17 @@ int runTool(int argc, char **argv) {
         return ExitUsage;
     } else if (Arg.rfind("--heartbeat-ms=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(15, V) || V == 0)
+      if (!needUnsigned(15, V, 1))
         return ExitUsage;
       Fleet.HeartbeatIntervalMs = V;
     } else if (Arg.rfind("--forward-timeout=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(18, V) || V == 0)
+      if (!needUnsigned(18, V, 1))
         return ExitUsage;
       Fleet.ForwardTimeoutMs = V;
     } else if (Arg.rfind("--breaker-threshold=", 0) == 0) {
       uint64_t V;
-      if (!needUnsigned(20, V) || V == 0)
+      if (!needUnsigned(20, V, 1, UINT_MAX))
         return ExitUsage;
       Fleet.BreakerThreshold = static_cast<unsigned>(V);
     } else if (Arg.rfind("--send=", 0) == 0) {

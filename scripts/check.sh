@@ -16,13 +16,14 @@ for b in build/bench/*; do "$b"; done
 # Threads=1-vs-Threads=4 determinism contract, faulty benchmarks on 4
 # threads and on one thread per benchmark, and the supervisor's retry
 # path on 4), predictord's request workers sharing one Service (its
-# response memo and persistent cache), and concurrent readers of one
-# finished result, whose constant reads intern into its range arena.
+# response memo and persistent cache), and that no arena is written by
+# two threads: concurrent readers of one finished result, and two
+# incremental runs from one base at once.
 cmake -B build-tsan -G Ninja -DVRP_SANITIZE=thread
 cmake --build build-tsan --target ParallelDeterminismTest \
   FaultToleranceTest SupervisorRetryTest ServerTest RangeArenaTest
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ParallelDeterminism|FaultToleranceTest\.(KOfN|.*Thread)|SupervisorRetryTest\..*FourWorkers|ServerTest|RangeArenaTest.ConcurrentReaders'
+  -R 'ParallelDeterminism|FaultToleranceTest\.(KOfN|.*Thread)|SupervisorRetryTest\..*FourWorkers|ServerTest|RangeArenaTest\.(ConcurrentReaders|IncrementalRunsFromOneBaseOnTwoThreads)'
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
 # corpus, the fault-injection suite, the structured-error paths, the

@@ -102,6 +102,18 @@ vrp::compileToSSA(std::string_view Source, DiagnosticEngine &Diags,
   return Result.ok() ? Result.takeValue() : nullptr;
 }
 
+const BranchProbMap &vrp::ballLarusProbs(const Function &F,
+                                         AnalysisCache *Cache,
+                                         BranchProbMap &Local) {
+  if (!Cache)
+    return Local = predictBallLarus(F);
+  return Cache->branchProbs(
+      F, [](const Function &Fn, const LoopInfo &LI,
+            const PostDominatorTree &PDT, const DFSInfo &DFS) {
+        return predictBallLarus(Fn, LI, PDT, DFS);
+      });
+}
+
 FinalPredictionMap vrp::finalizePredictions(const Function &F,
                                             const FunctionVRPResult &VRP,
                                             AnalysisCache *Cache) {
@@ -111,21 +123,6 @@ FinalPredictionMap vrp::finalizePredictions(const Function &F,
   // heuristics) only runs if some branch actually needs the fallback.
   const BranchProbMap *Fallback = nullptr;
   BranchProbMap Local;
-  auto fallbackProbs = [&]() -> const BranchProbMap & {
-    if (!Fallback) {
-      if (Cache)
-        Fallback = &Cache->branchProbs(
-            F, [](const Function &Fn, const LoopInfo &LI,
-                  const PostDominatorTree &PDT, const DFSInfo &DFS) {
-              return predictBallLarus(Fn, LI, PDT, DFS);
-            });
-      else {
-        Local = predictBallLarus(F);
-        Fallback = &Local;
-      }
-    }
-    return *Fallback;
-  };
 
   for (const auto &[Branch, Pred] : VRP.Branches) {
     FinalPrediction Final;
@@ -137,9 +134,10 @@ FinalPredictionMap vrp::finalizePredictions(const Function &F,
       Final.Source = PredictionSource::Range;
     } else {
       telemetry::count(Counter::BallLarusFallbackBranches);
-      const BranchProbMap &Probs = fallbackProbs();
-      auto It = Probs.find(Branch);
-      Final.ProbTrue = It == Probs.end() ? 0.5 : It->second;
+      if (!Fallback)
+        Fallback = &ballLarusProbs(F, Cache, Local);
+      auto It = Fallback->find(Branch);
+      Final.ProbTrue = It == Fallback->end() ? 0.5 : It->second;
       Final.Source = PredictionSource::Heuristic;
     }
     Result[Branch] = Final;
@@ -194,27 +192,28 @@ vrp::reportedBranches(const Function &F, const FunctionVRPResult &FR,
   if (Rows.empty())
     return Rows;
 
-  FinalPredictionMap Final = finalizePredictions(F, FR, Cache);
-  BranchProbMap Alt;
-  if (Predictor == "ball-larus")
-    Alt = predictBallLarus(F);
-  else if (Predictor == "90-50")
-    Alt = predictNinetyFifty(F);
-  else if (Predictor == "random")
-    Alt = predictRandom(F, 1234);
-
-  for (ReportedBranch &Row : Rows) {
-    if (Predictor != "vrp") {
-      Row.ProbTrue = Alt.at(Row.Branch);
-      continue;
+  if (Predictor == "vrp") {
+    FinalPredictionMap Final = finalizePredictions(F, FR, Cache);
+    for (ReportedBranch &Row : Rows) {
+      const FinalPrediction &P = Final.at(Row.Branch);
+      Row.ProbTrue = P.ProbTrue;
+      Row.Source = P.Source == PredictionSource::Range ? "ranges"
+                   : P.Source == PredictionSource::Heuristic
+                       ? "heuristic fallback"
+                       : "unreachable";
     }
-    const FinalPrediction &P = Final.at(Row.Branch);
-    Row.ProbTrue = P.ProbTrue;
-    Row.Source = P.Source == PredictionSource::Range ? "ranges"
-                 : P.Source == PredictionSource::Heuristic
-                     ? "heuristic fallback"
-                     : "unreachable";
+    return Rows;
   }
+
+  BranchProbMap Local;
+  if (Predictor == "90-50")
+    Local = predictNinetyFifty(F);
+  else if (Predictor == "random")
+    Local = predictRandom(F, 1234);
+  const BranchProbMap &Alt =
+      Predictor == "ball-larus" ? ballLarusProbs(F, Cache, Local) : Local;
+  for (ReportedBranch &Row : Rows)
+    Row.ProbTrue = Alt.at(Row.Branch);
   return Rows;
 }
 

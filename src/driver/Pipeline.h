@@ -91,6 +91,12 @@ FinalPredictionMap finalizePredictions(const Function &F,
                                        const FunctionVRPResult &VRP,
                                        AnalysisCache *Cache = nullptr);
 
+/// The Ball–Larus probabilities of \p F's branches. With a \p Cache they
+/// are computed once per function and returned from it without a copy;
+/// without one they are computed into \p Local.
+const BranchProbMap &ballLarusProbs(const Function &F, AnalysisCache *Cache,
+                                    BranchProbMap &Local);
+
 /// Fraction of branches in \p Predictions predicted from ranges.
 double rangePredictedFraction(const FinalPredictionMap &Predictions);
 

@@ -55,35 +55,14 @@ namespace {
 
 /// Collects VRP+fallback probabilities over a whole module.
 BranchProbMap vrpModulePredictions(Module &M, const VRPOptions &Opts,
-                                   double *RangeFraction,
-                                   AnalysisCache *Cache = nullptr,
-                                   unsigned *DegradedFunctions = nullptr,
-                                   VRPStats *Stats = nullptr,
-                                   PersistentCache *PCache = nullptr) {
+                                   AnalysisCache *Cache,
+                                   PersistentCache *PCache) {
   ModuleVRPResult R = runModuleVRP(M, Opts, Cache, PCache);
-  if (DegradedFunctions)
-    *DegradedFunctions = R.FunctionsDegraded;
-  if (Stats)
-    accumulateModuleStats(*Stats, R);
   BranchProbMap Probs;
-  unsigned Total = 0, FromRanges = 0;
-  for (const auto &F : M.functions()) {
-    const FunctionVRPResult *FR = R.forFunction(F.get());
-    if (!FR)
-      continue;
-    FinalPredictionMap Final = finalizePredictions(*F, *FR, Cache);
-    if (Stats)
-      accumulatePredictionStats(*Stats, Final);
-    for (const auto &[Branch, Pred] : Final) {
-      Probs[Branch] = Pred.ProbTrue;
-      ++Total;
-      if (Pred.Source == PredictionSource::Range)
-        ++FromRanges;
-    }
-  }
-  if (RangeFraction)
-    *RangeFraction =
-        Total == 0 ? 0.0 : static_cast<double>(FromRanges) / Total;
+  for (const auto &F : M.functions())
+    if (const FunctionVRPResult *FR = R.forFunction(F.get()))
+      for (const auto &[Branch, Pred] : finalizePredictions(*F, *FR, Cache))
+        Probs[Branch] = Pred.ProbTrue;
   return Probs;
 }
 
@@ -105,32 +84,22 @@ BranchProbMap vrp::predictModule(PredictorKind Kind, Module &M,
     return Probs;
   case PredictorKind::BallLarus:
     for (const auto &F : M.functions()) {
-      if (Cache) {
-        const BranchProbMap &Per = Cache->branchProbs(
-            *F, [](const Function &Fn, const LoopInfo &LI,
-                   const PostDominatorTree &PDT, const DFSInfo &DFS) {
-              return predictBallLarus(Fn, LI, PDT, DFS);
-            });
-        Probs.insert(Per.begin(), Per.end());
-      } else {
-        BranchProbMap Per = predictBallLarus(*F);
-        Probs.insert(Per.begin(), Per.end());
-      }
+      BranchProbMap Local;
+      const BranchProbMap &Per = ballLarusProbs(*F, Cache, Local);
+      Probs.insert(Per.begin(), Per.end());
     }
     return Probs;
   case PredictorKind::VRP:
     // Uses Opts as configured (the ablation bench relies on this); the
     // default configuration has symbolic ranges enabled.
-    return vrpModulePredictions(M, Opts, nullptr, Cache, nullptr, nullptr,
-                                PCache);
+    return vrpModulePredictions(M, Opts, Cache, PCache);
   case PredictorKind::VRPNumeric: {
     // The numeric configuration shares the persistent cache: its options
     // fingerprint differs (EnableSymbolicRanges off), so its records can
     // never be confused with the full configuration's.
     VRPOptions Numeric = Opts;
     Numeric.EnableSymbolicRanges = false;
-    return vrpModulePredictions(M, Numeric, nullptr, Cache, nullptr, nullptr,
-                                PCache);
+    return vrpModulePredictions(M, Numeric, Cache, PCache);
   }
   case PredictorKind::NinetyFifty:
     for (const auto &F : M.functions()) {
@@ -188,17 +157,12 @@ private:
 /// NOT counted as a budget degradation.
 FunctionVRPResult quarantinedResult(const Function &F, uint64_t Violations) {
   FunctionVRPResult R;
-  R.F = &F;
-  R.Degraded = true;
-  R.DegradeCause = Status::failure(
-      ErrorCategory::Internal, "audit",
-      "@" + F.name() + " quarantined after " + std::to_string(Violations) +
-          (Violations == 1 ? " runtime soundness violation"
-                           : " runtime soundness violations"));
-  R.BlockProb.assign(F.numBlocks(), 1.0);
-  for (const auto &B : F.blocks())
-    if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
-      R.Branches[CBr] = BranchPrediction{0.5, false, true};
+  R.degrade(F, Status::failure(
+                   ErrorCategory::Internal, "audit",
+                   "@" + F.name() + " quarantined after " +
+                       std::to_string(Violations) +
+                       (Violations == 1 ? " runtime soundness violation"
+                                        : " runtime soundness violations")));
   return R;
 }
 

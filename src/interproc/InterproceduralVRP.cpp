@@ -168,16 +168,10 @@ private:
     // manufactured without ever entering the engine, so count it here.
     telemetry::count(telemetry::Counter::BudgetDegradations);
     FunctionVRPResult R;
-    R.F = &F;
     R.Arena = Arena;
-    R.Degraded = true;
-    R.DegradeCause = Status::failure(
-        ErrorCategory::BudgetExceeded, "deadline",
-        "module deadline expired before @" + F.name() + " was analyzed");
-    R.BlockProb.assign(F.numBlocks(), 1.0);
-    for (const auto &B : F.blocks())
-      if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
-        R.Branches[CBr] = BranchPrediction{0.5, false, true};
+    R.degrade(F, Status::failure(ErrorCategory::BudgetExceeded, "deadline",
+                                 "module deadline expired before @" +
+                                     F.name() + " was analyzed"));
     return R;
   }
 

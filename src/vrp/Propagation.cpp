@@ -34,16 +34,23 @@ PropagationContext PropagationContext::intraprocedural() {
 }
 
 ValueRange FunctionVRPResult::rangeOf(const Value *V) const {
-  if (const auto *C = dyn_cast<Constant>(V)) {
-    if (!C->isInt())
-      return ValueRange::floatConstant(C->floatValue());
-    // A read may come from anywhere (a report, an optimization pass); the
-    // constant's range must land in this result's arena, not the caller's.
-    RangeArena::Scope S(Arena);
-    return ValueRange::intConstant(C->intValue());
-  }
+  if (const auto *C = dyn_cast<Constant>(V))
+    return C->isInt() ? ValueRange::intConstant(C->intValue())
+                      : ValueRange::floatConstant(C->floatValue());
   auto It = Ranges.find(V);
   return It == Ranges.end() ? ValueRange::bottom() : It->second;
+}
+
+void FunctionVRPResult::degrade(const Function &Fn, Status Cause) {
+  F = &Fn;
+  Degraded = true;
+  DegradeCause = std::move(Cause);
+  Ranges.clear();
+  Branches.clear();
+  BlockProb.assign(Fn.numBlocks(), 1.0);
+  for (const auto &B : Fn.blocks())
+    if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
+      Branches[CBr] = BranchPrediction{0.5, false, true};
 }
 
 double FunctionVRPResult::edgeFraction(const BasicBlock *From,
@@ -650,17 +657,8 @@ FunctionVRPResult Engine::run() {
 
   if (Degraded) {
     // Partial lattice state is unsound to expose (a range caught
-    // mid-descent can be too narrow), so degrade the whole function to
-    // ⊥: no ranges, every block presumed reachable, every branch handed
-    // to the Ball–Larus fallback at a neutral probability.
-    Result.Degraded = true;
-    Result.DegradeCause = Cause;
-    Result.Ranges.clear();
-    Result.BlockProb.assign(N, 1.0);
-    Result.Branches.clear();
-    for (const auto &B : F.blocks())
-      if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
-        Result.Branches[CBr] = BranchPrediction{0.5, false, true};
+    // mid-descent can be too narrow), so degrade the whole function.
+    Result.degrade(F, std::move(Cause));
     telemetry::count(telemetry::Counter::BudgetDegradations);
     reportStats();
     finishTrace();

@@ -60,9 +60,19 @@ struct FunctionVRPResult {
   /// φ that never stabilized — the message names function and variable).
   Status DegradeCause;
 
-  /// Range lookup with constant folding (constants get exact ranges,
-  /// interned into this result's own arena).
+  /// Range lookup with constant folding. A constant's exact range is
+  /// interned into the caller's current arena, as the engine's own lookup
+  /// does, so it lives as long as that arena; this result's arena is
+  /// never written after its analysis returns, and any number of threads
+  /// may read the result at once.
   ValueRange rangeOf(const Value *V) const;
+
+  /// Makes this the whole-function ⊥ result for \p Fn, with \p Cause as
+  /// its DegradeCause: no ranges, every block presumed reachable, every
+  /// branch handed to the Ball–Larus fallback at a neutral probability.
+  /// Stats and Arena stay as they are; the caller decides what the
+  /// degradation counts as.
+  void degrade(const Function &Fn, Status Cause);
 
   /// The predicted probability of the CFG edge From->To being taken when
   /// From executes (1.0 for unconditional edges).

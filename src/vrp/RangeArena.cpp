@@ -9,6 +9,7 @@
 #include "support/Telemetry.h"
 #include "vrp/ValueRange.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -18,11 +19,11 @@ using namespace vrp;
 
 namespace {
 
-/// Serialized payload size of one row (the six column fields); chunk
-/// padding is deliberately excluded so the telemetry byte count depends
-/// only on the set of interned contents, not on interleaving order.
+/// Payload size of one row (the six column fields); chunk padding is
+/// deliberately excluded so the telemetry byte count depends only on the
+/// set of interned contents, not on interleaving order.
 constexpr uint64_t RowPayloadBytes = sizeof(double) + 3 * sizeof(int64_t) +
-                                     2 * sizeof(uint32_t);
+                                     2 * sizeof(const Value *);
 
 /// FP family: three double columns per row, plus one double of NaN mass
 /// per slice (counted with the slice, not per row).
@@ -45,79 +46,33 @@ inline uint64_t probBits(double P) {
   return Bits;
 }
 
-/// Running out of ids or rows is a hard stop in every build type: a
-/// wrapped id would silently alias another range.
+/// Running out of slice ids or rows is a hard stop in every build type:
+/// a wrapped id would silently alias another range.
 [[noreturn]] void fatal(const char *What) {
   std::fprintf(stderr, "fatal: range arena: %s\n", What);
   std::abort();
 }
 
-/// Arena id allocation. Id 0 belongs to the default arena; freed ids are
-/// reused before fresh ones.
-struct IdPool {
-  std::mutex M;
-  std::vector<uint16_t> Free;
-  uint32_t NextFresh = 1;
-  unsigned Live = 0;
-};
-
-IdPool &idPool() {
-  static IdPool *Pool = new IdPool(); // Outlives every static arena.
-  return *Pool;
-}
-
-uint16_t acquireId() {
-  IdPool &P = idPool();
-  std::lock_guard<std::mutex> Lock(P.M);
-  ++P.Live;
-  if (!P.Free.empty()) {
-    uint16_t Id = P.Free.back();
-    P.Free.pop_back();
-    return Id;
-  }
-  if (P.NextFresh >= (1u << 16))
-    fatal("more than 65535 arenas alive at once");
-  return static_cast<uint16_t>(P.NextFresh++);
-}
+std::atomic<unsigned> Live{0};
 
 thread_local RangeArena *Active = nullptr;
 
 } // namespace
 
-std::atomic<RangeArena *> RangeArena::Registry[RangeArena::MaxArenas];
-
 //===----------------------------------------------------------------------===
 // Chunk directory and intern table
 //===----------------------------------------------------------------------===
 
-template <class ChunkT> RangeArena::ChunkDir<ChunkT>::~ChunkDir() {
-  if (Dirs.empty())
-    return;
-  for (uint32_t I = 0; I < Cap; ++I)
-    delete Dirs.back()[I].load(std::memory_order_relaxed);
-}
-
 template <class ChunkT>
 ChunkT &RangeArena::ChunkDir<ChunkT>::getOrCreate(uint32_t Index) {
-  if (Index >= MaxChunks)
-    fatal("row or slice ids exhausted");
-  if (Index >= Cap) {
-    uint32_t NewCap = Cap == 0 ? 4 : Cap * 2;
-    auto New = std::make_unique<std::atomic<ChunkT *>[]>(NewCap);
-    for (uint32_t I = 0; I < Cap; ++I)
-      New[I].store(Dirs.back()[I].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    Dir.store(New.get(), std::memory_order_release);
-    Dirs.push_back(std::move(New));
-    Cap = NewCap;
+  assert(Index <= Chunks.size() && "chunks are allocated in order");
+  if (Index == Chunks.size()) {
+    if (Index >= MaxChunks)
+      fatal("row or slice ids exhausted");
+    // Uninitialized: every row is written before its slice id is returned.
+    Chunks.emplace_back(new ChunkT);
   }
-  std::atomic<ChunkT *> &Slot = Dirs.back()[Index];
-  ChunkT *C = Slot.load(std::memory_order_relaxed);
-  if (!C) {
-    C = new ChunkT; // Uninitialized: rows are written before publication.
-    Slot.store(C, std::memory_order_release);
-  }
-  return *C;
+  return *Chunks[Index];
 }
 
 size_t RangeArena::InternTable::home(uint64_t Hash) const {
@@ -163,34 +118,21 @@ void RangeArena::InternTable::place(Slot S) {
 }
 
 //===----------------------------------------------------------------------===
-// Lifetime, ids and the current arena
+// Lifetime and the current arena
 //===----------------------------------------------------------------------===
 
 RangeArena::RangeArena(std::shared_ptr<const RangeArena> Predecessor)
-    : Id(acquireId()), Predecessor(std::move(Predecessor)) {
-  Registry[Id].store(this, std::memory_order_release);
+    : Predecessor(std::move(Predecessor)) {
+  ++Live;
 }
 
-RangeArena::RangeArena(DefaultTag) : Id(0) {
-  IdPool &P = idPool();
-  std::lock_guard<std::mutex> Lock(P.M);
-  ++P.Live;
-  Registry[0].store(this, std::memory_order_release);
-}
-
-RangeArena::~RangeArena() {
-  assert(Id != 0 && "the default arena is never destroyed");
-  Registry[Id].store(nullptr, std::memory_order_release);
-  IdPool &P = idPool();
-  std::lock_guard<std::mutex> Lock(P.M);
-  --P.Live;
-  P.Free.push_back(Id);
-}
+RangeArena::~RangeArena() { --Live; }
 
 RangeArena &RangeArena::defaultArena() {
-  // Never destroyed: a range in a static object may be read at exit.
-  static RangeArena *Default = new RangeArena(DefaultTag{});
-  return *Default;
+  // An object, not a leaked pointer: each thread gets its own, freed
+  // when the thread exits.
+  thread_local RangeArena Default;
+  return Default;
 }
 
 RangeArena &RangeArena::current() {
@@ -203,11 +145,7 @@ RangeArena::joinOrCreate(std::shared_ptr<const RangeArena> Predecessor) {
                 : std::make_shared<RangeArena>(std::move(Predecessor));
 }
 
-unsigned RangeArena::liveCount() {
-  IdPool &P = idPool();
-  std::lock_guard<std::mutex> Lock(P.M);
-  return P.Live;
-}
+unsigned RangeArena::liveCount() { return Live; }
 
 RangeArena::Scope::Scope(const std::shared_ptr<RangeArena> &A)
     : Prev(Active) {
@@ -217,62 +155,26 @@ RangeArena::Scope::Scope(const std::shared_ptr<RangeArena> &A)
 
 RangeArena::Scope::~Scope() { Active = Prev; }
 
-uint64_t RangeArena::interns() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return InternCalls;
-}
-
 //===----------------------------------------------------------------------===
 // Integer column family
 //===----------------------------------------------------------------------===
-
-uint32_t RangeArena::symId(const Value *V) {
-  if (!V)
-    return 0;
-  auto It = SymIds.find(V);
-  if (It != SymIds.end())
-    return It->second;
-  uint32_t Id = NextSym++;
-  SymChunks.getOrCreate(Id >> ChunkShift).Syms[Id & (ChunkRows - 1)] = V;
-  SymIds.emplace(V, Id);
-  return Id;
-}
-
-const Value *RangeArena::symValue(uint32_t SymId) const {
-  if (SymId == 0)
-    return nullptr;
-  return SymChunks.get(SymId >> ChunkShift).Syms[SymId & (ChunkRows - 1)];
-}
 
 uint32_t RangeArena::intern(const SubRange *Subs, uint32_t N) {
   if (N == 0)
     return 0;
   assert(N <= MaxSliceRows && "subrange set exceeds one arena chunk");
 
-  std::lock_guard<std::mutex> Lock(Mu);
   ++InternCalls;
-
-  // Resolve symbol ordinals first: the content hash and the dedup compare
-  // both key on ordinals, which are themselves interned by pointer
-  // identity, so identical content always hashes identically.
-  ScratchLoSym.clear();
-  ScratchHiSym.clear();
   bool AllNumeric = true;
-  for (uint32_t I = 0; I < N; ++I) {
-    uint32_t LS = symId(Subs[I].Lo.Sym);
-    uint32_t HS = symId(Subs[I].Hi.Sym);
-    AllNumeric &= (LS == 0) & (HS == 0);
-    ScratchLoSym.push_back(LS);
-    ScratchHiSym.push_back(HS);
-  }
+  for (uint32_t I = 0; I < N; ++I)
+    AllNumeric &= Subs[I].isNumeric();
 
   // Only pointer-free (all-numeric) contents intern. A symbolic content
-  // embeds symbol ordinals keyed on SSA pointer identity, and the
-  // allocator may reuse a dead function's addresses for a later
-  // function's values — cross-function identity would then depend on
-  // heap layout and hence on the thread schedule. Symbolic sets get
-  // arena rows but no dedup; each insertion reports as a miss, so all
-  // three intern counters stay functions of the work alone.
+  // embeds SSA pointers, and the allocator may reuse a dead function's
+  // addresses for a later function's values — cross-function identity
+  // would then depend on heap layout. Symbolic sets get arena rows but
+  // no dedup; each insertion reports as a miss, so all three intern
+  // counters stay functions of the work alone.
   uint64_t Hash = 0;
   if (AllNumeric) {
     Hash = 14695981039346656037ull ^ N;
@@ -315,8 +217,8 @@ uint32_t RangeArena::intern(const SubRange *Subs, uint32_t N) {
     C.LoOff[Base + I] = Subs[I].Lo.Offset;
     C.HiOff[Base + I] = Subs[I].Hi.Offset;
     C.Stride[Base + I] = Subs[I].Stride;
-    C.LoSym[Base + I] = ScratchLoSym[I];
-    C.HiSym[Base + I] = ScratchHiSym[I];
+    C.LoSym[Base + I] = Subs[I].Lo.Sym;
+    C.HiSym[Base + I] = Subs[I].Hi.Sym;
   }
   NextRow = RowBegin + N;
 
@@ -366,8 +268,6 @@ uint32_t RangeArena::internFP(const FPInterval *Subs, uint32_t N,
   if (N == 0 && probBits(NaNMass) == probBits(0.0))
     return 0;
   assert(N <= MaxSliceRows && "FP interval set exceeds one arena chunk");
-
-  std::lock_guard<std::mutex> Lock(Mu);
   ++InternCalls;
 
   // FP contents are pointer-free, so everything interns. The NaN mass is

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Structure-of-arrays storage for canonical subrange sets. Every
-/// `ValueRange` of kind Ranges holds a 32-bit *slice id* into an arena
-/// instead of a heap `std::vector<SubRange>`; the arena stores the
-/// subrange fields in six contiguous parallel columns
+/// `ValueRange` of kind Ranges holds its arena and a 32-bit *slice id*
+/// into it instead of a heap `std::vector<SubRange>`; the arena stores
+/// the subrange fields in six contiguous parallel columns
 /// `{Prob, LoSym, LoOff, HiSym, HiOff, Stride}` so the hot kernels in
-/// RangeOps iterate flat arrays instead of pointer-bearing structs.
+/// RangeOps iterate flat arrays instead of vectors of structs.
 ///
 /// Ownership: one arena per analysis. `runModuleVRP` and a standalone
 /// `propagateRanges` each create one, and the results they return own it
@@ -20,23 +20,19 @@
 /// alive, because its rebound results keep handles into that one
 /// (DESIGN.md §6.1). Writers intern into the thread's *current* arena,
 /// installed by a `RangeArena::Scope`; outside every scope that is the
-/// process default arena, which unit tests and examples use and which is
-/// never freed.
-/// Every arena has a 16-bit id, recorded in each handle, and a
-/// process-wide table maps live ids to arenas, so a handle is read
-/// through its own arena from any thread for as long as that arena
-/// lives. An id is recycled once its arena dies.
+/// thread's default arena, which unit tests and examples use and which
+/// dies with its thread. A handle points at its arena, so it is read
+/// through that arena from any thread for as long as the arena lives.
 ///
 /// All-numeric slices are *interned*: inserting a row set that is bitwise
 /// identical to one already in the arena returns the existing id, so
 /// φ-heavy functions share storage and range equality has an
-/// id-comparison fast path. Symbolic bounds store an interned 32-bit
-/// symbol ordinal (0 = numeric) rather than a `const Value *`, keeping
-/// rows pointer-free; the symbol table maps ordinals back to SSA values
-/// on the slow path. Symbolic slices are arena-allocated but deliberately
-/// *not* deduped: their identity involves SSA pointers, and heap address
-/// reuse across function lifetimes would make cross-function identity —
-/// and with it the intern counters — depend on allocation history.
+/// id-comparison fast path. Symbolic bounds store their `const Value *`
+/// in the `LoSym`/`HiSym` columns (null = numeric). Symbolic slices are
+/// arena-allocated but deliberately *not* deduped: their identity
+/// involves SSA pointers, and heap address reuse across function
+/// lifetimes would make cross-function identity — and with it the
+/// intern counters — depend on allocation history.
 ///
 /// The floating-point domain (docs/DOMAINS.md) stores its weighted
 /// intervals as a *parallel column family* in the same arena: three
@@ -46,28 +42,22 @@
 /// mass is part of the interned content (hashed and compared by bit
 /// pattern) so an FP slice id alone identifies the full lattice value.
 ///
-/// Concurrency: an analysis interns from the one thread it runs on, but
-/// a finished result may be read from any thread, and
-/// `FunctionVRPResult::rangeOf` interns a constant's range into the
-/// result's arena on read. So insertion takes the arena's mutex; reads
-/// are lock-free. Columns are chunked with stable addresses (a slice never straddles a
-/// chunk), and the chunk directories grow by doubling with every old
-/// directory kept until the arena dies, so a published slice id can be
-/// dereferenced without synchronizing with later growth. Ids travel
-/// between threads only through already-synchronized channels (task
-/// queues, guarded result maps), which carries the happens-before needed
-/// for the row data itself.
+/// Concurrency: one writer per arena. An analysis interns only into the
+/// arena of the thread it runs on, a finished result's arena is never
+/// written again (`FunctionVRPResult::rangeOf` interns a constant's range
+/// into the *caller's* current arena), and a default arena belongs to
+/// one thread. So nothing here locks: a finished result may be read from
+/// any number of threads at once. Columns are chunked with stable
+/// addresses (a slice never straddles a chunk), so a row pointer stays
+/// valid while the arena grows.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VRP_VRP_RANGEARENA_H
 #define VRP_VRP_RANGEARENA_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace vrp {
@@ -99,28 +89,20 @@ public:
   static constexpr uint32_t ChunkRows = 1u << ChunkShift;
   static constexpr uint32_t MaxSliceRows = ChunkRows;
 
-  /// An empty arena with a fresh id that keeps \p Predecessor (if any)
-  /// alive as long as it lives. Costs no chunk until the first intern.
-  /// Stops the program when 2^16 - 1 arenas are already alive.
+  /// An empty arena that keeps \p Predecessor (if any) alive as long as
+  /// it lives. Costs no chunk until the first intern.
   explicit RangeArena(std::shared_ptr<const RangeArena> Predecessor = {});
   ~RangeArena();
   RangeArena(const RangeArena &) = delete;
   RangeArena &operator=(const RangeArena &) = delete;
 
-  /// This arena's id, unique among live arenas.
-  uint16_t id() const { return Id; }
-
-  /// The live arena with id \p Id.
-  static const RangeArena &byId(uint16_t Id) {
-    return *Registry[Id].load(std::memory_order_acquire);
-  }
-
   /// The arena this thread interns into: the innermost Scope's, else the
-  /// default arena.
+  /// thread's default arena.
   static RangeArena &current();
 
-  /// The process default arena (id 0). Never freed; nothing reachable
-  /// from an analysis entry point writes to it.
+  /// This thread's default arena, created on first use and destroyed
+  /// when the thread exits; nothing reachable from an analysis entry
+  /// point writes to it.
   static RangeArena &defaultArena();
 
   /// The innermost Scope's arena, or a fresh one holding \p Predecessor
@@ -129,7 +111,8 @@ public:
   static std::shared_ptr<RangeArena>
   joinOrCreate(std::shared_ptr<const RangeArena> Predecessor = {});
 
-  /// Number of live arenas, the default arena included once created.
+  /// Number of live arenas, the threads' default arenas included once
+  /// created.
   static unsigned liveCount();
 
   /// Makes \p A this thread's current arena until the scope ends; a null
@@ -147,14 +130,14 @@ public:
   };
 
   /// SoA view of one slice: six parallel columns of length `Count`.
-  /// `LoSym`/`HiSym` are symbol ordinals (0 = numeric bound).
+  /// `LoSym`/`HiSym` hold each bound's SSA value (null = numeric bound).
   struct Rows {
     const double *Prob = nullptr;
     const int64_t *LoOff = nullptr;
     const int64_t *HiOff = nullptr;
     const int64_t *Stride = nullptr;
-    const uint32_t *LoSym = nullptr;
-    const uint32_t *HiSym = nullptr;
+    const Value *const *LoSym = nullptr;
+    const Value *const *HiSym = nullptr;
     uint32_t Count = 0;
     bool AllNumeric = true;
   };
@@ -197,45 +180,24 @@ public:
   /// Column view of an FP slice. Slice 0 yields an empty view.
   FPRows fpRows(uint32_t SliceId) const;
 
-  /// Symbol ordinal -> SSA value (0 -> nullptr).
-  const Value *symValue(uint32_t SymId) const;
-
   /// Intern calls this arena has answered, hits and misses, both
   /// families.
-  uint64_t interns() const;
+  uint64_t interns() const { return InternCalls; }
 
 private:
-  struct DefaultTag {};
-  explicit RangeArena(DefaultTag);
-
   static constexpr uint32_t MaxChunks = 1u << 15; // 2^27 rows / slices.
-  static constexpr uint32_t MaxArenas = 1u << 16;
 
-  /// Live id -> arena; entry 0 is the default arena.
-  static std::atomic<RangeArena *> Registry[MaxArenas];
-
-  /// Chunk pointers with lock-free reads. The directory starts empty and
-  /// doubles under the arena mutex; superseded directories stay allocated
-  /// until the arena dies, so a reader still holding one finds every
-  /// chunk published before the doubling.
+  /// Chunks in allocation order. A chunk never moves, so row pointers
+  /// into it survive later growth of the directory.
   template <class ChunkT> class ChunkDir {
   public:
-    ChunkDir() = default;
-    ChunkDir(const ChunkDir &) = delete;
-    ChunkDir &operator=(const ChunkDir &) = delete;
-    ~ChunkDir();
-
-    const ChunkT &get(uint32_t Index) const {
-      return *Dir.load(std::memory_order_acquire)[Index].load(
-          std::memory_order_acquire);
-    }
-    /// Chunk \p Index, allocated on first use (under the arena mutex).
+    const ChunkT &get(uint32_t Index) const { return *Chunks[Index]; }
+    /// Chunk \p Index, allocated on first use. Indices grow one at a
+    /// time, so \p Index is an existing chunk or the next one.
     ChunkT &getOrCreate(uint32_t Index);
 
   private:
-    std::atomic<std::atomic<ChunkT *> *> Dir{nullptr};
-    uint32_t Cap = 0;
-    std::vector<std::unique_ptr<std::atomic<ChunkT *>[]>> Dirs;
+    std::vector<std::unique_ptr<ChunkT>> Chunks;
   };
 
   /// Content hash -> slice id, open addressing with linear probing. Ids
@@ -265,8 +227,8 @@ private:
     int64_t LoOff[ChunkRows];
     int64_t HiOff[ChunkRows];
     int64_t Stride[ChunkRows];
-    uint32_t LoSym[ChunkRows];
-    uint32_t HiSym[ChunkRows];
+    const Value *LoSym[ChunkRows];
+    const Value *HiSym[ChunkRows];
   };
 
   /// No default member initializers: chunks are allocated uninitialized
@@ -279,10 +241,6 @@ private:
 
   struct SliceChunk {
     SliceInfo Infos[ChunkRows];
-  };
-
-  struct SymChunk {
-    const Value *Syms[ChunkRows];
   };
 
   /// FP column family: same chunked-stable-address discipline as the
@@ -311,33 +269,23 @@ private:
     return FPSliceChunks.get(SliceId >> ChunkShift)
         .Infos[SliceId & (ChunkRows - 1)];
   }
-  uint32_t symId(const Value *V); // Under Mu.
 
-  const uint16_t Id;
   /// Arena whose handles this one's users still read.
   const std::shared_ptr<const RangeArena> Predecessor;
 
-  mutable std::mutex Mu;
   uint32_t NextRow = 0;   // Row cursor (chunk-padded).
   uint32_t NextSlice = 1; // Slice 0 is the reserved empty slice.
-  uint32_t NextSym = 1;   // Symbol 0 is the numeric bound.
   uint32_t NextFPRow = 0;   // FP row cursor (chunk-padded).
   uint32_t NextFPSlice = 1; // FP slice 0 is the reserved empty slice.
   uint64_t InternCalls = 0;
 
   ChunkDir<RowChunk> RowChunks;
   ChunkDir<SliceChunk> SliceChunks;
-  ChunkDir<SymChunk> SymChunks;
   ChunkDir<FPRowChunk> FPRowChunks;
   ChunkDir<FPSliceChunk> FPSliceChunks;
 
   InternTable Interned;
   InternTable FPInterned;
-  std::unordered_map<const Value *, uint32_t> SymIds;
-
-  /// Scratch symbol-ordinal buffers for the row being interned (guarded
-  /// by Mu; member to avoid per-call allocation).
-  std::vector<uint32_t> ScratchLoSym, ScratchHiSym;
 };
 
 } // namespace vrp

@@ -218,7 +218,7 @@ ValueRange ValueRange::canonicalize(std::vector<SubRange> &Subs,
     std::sort(Subs.begin(), Subs.end(), Less);
   }
 
-  ValueRange R = interned(Kind::Ranges, Subs.data(), Subs.size());
+  ValueRange R = interned(Subs.data(), Subs.size());
   R.assertNormalized();
   return R;
 }
@@ -343,11 +343,11 @@ ValueRange ValueRange::floatRanges(std::vector<FPInterval> Subs,
   return canonicalizeFP(Subs, NaNMass, MaxSubRanges);
 }
 
-ValueRange ValueRange::interned(Kind K, const SubRange *Subs, size_t N) {
+ValueRange ValueRange::interned(const SubRange *Subs, size_t N) {
   RangeArena &A = RangeArena::current();
   ValueRange R;
-  R.TheKind = K;
-  R.ArenaId = A.id();
+  R.TheKind = Kind::Ranges;
+  R.Arena = &A;
   R.SliceId = A.intern(Subs, static_cast<uint32_t>(N));
   return R;
 }
@@ -357,8 +357,7 @@ ValueRange ValueRange::internedFP(const FPInterval *Subs, size_t N,
   RangeArena &A = RangeArena::current();
   ValueRange R;
   R.TheKind = Kind::FloatRanges;
-  R.FloatVal = NaNMass;
-  R.ArenaId = A.id();
+  R.Arena = &A;
   R.SliceId = A.internFP(Subs, static_cast<uint32_t>(N), NaNMass);
   return R;
 }
@@ -367,12 +366,12 @@ ValueRange ValueRange::intConstant(int64_t V) {
   // Interned directly: historically this constructor bypassed ranges()'s
   // normalization pipeline, and the canonical single row needs none.
   SubRange S = SubRange::singleton(1.0, V);
-  return interned(Kind::Ranges, &S, 1);
+  return interned(&S, 1);
 }
 
 ValueRange ValueRange::fullIntRange() {
   SubRange S = SubRange::numeric(1.0, Int64Min, Int64Max, 1);
-  return interned(Kind::Ranges, &S, 1);
+  return interned(&S, 1);
 }
 
 ValueRange ValueRange::weightedBool(double ProbTrue) {
@@ -388,8 +387,8 @@ ValueRange ValueRange::weightedBool(double ProbTrue) {
 std::optional<int64_t> ValueRange::asIntConstant() const {
   if (TheKind != Kind::Ranges || SliceId == 0)
     return std::nullopt;
-  RangeArena::Rows R = arena().rows(SliceId);
-  if (R.Count != 1 || R.LoSym[0] != 0 || R.HiSym[0] != 0)
+  RangeArena::Rows R = Arena->rows(SliceId);
+  if (R.Count != 1 || R.LoSym[0] || R.HiSym[0])
     return std::nullopt;
   if (R.LoOff[0] != R.HiOff[0])
     return std::nullopt;
@@ -399,17 +398,13 @@ std::optional<int64_t> ValueRange::asIntConstant() const {
 const Value *ValueRange::asCopyOf() const {
   if (TheKind != Kind::Ranges || SliceId == 0)
     return nullptr;
-  RangeArena::Rows R = arena().rows(SliceId);
+  RangeArena::Rows R = Arena->rows(SliceId);
   if (R.Count != 1)
     return nullptr;
-  if (R.LoSym[0] != 0 && R.LoSym[0] == R.HiSym[0] && R.LoOff[0] == 0 &&
+  if (R.LoSym[0] && R.LoSym[0] == R.HiSym[0] && R.LoOff[0] == 0 &&
       R.HiOff[0] == 0)
-    return arena().symValue(R.LoSym[0]);
+    return R.LoSym[0];
   return nullptr;
-}
-
-bool ValueRange::sameSlice(const ValueRange &RHS) const {
-  return SliceId == RHS.SliceId && ArenaId == RHS.ArenaId;
 }
 
 bool ValueRange::rowsMatch(const ValueRange &RHS,
@@ -420,15 +415,10 @@ bool ValueRange::rowsMatch(const ValueRange &RHS,
   const RangeArena::Rows &B = VB.rawRows();
   if (A.Count != B.Count)
     return false;
-  // Symbol ordinals are numbered per arena: across two arenas, compare
-  // the values they name.
-  bool SameArena = ArenaId == RHS.ArenaId;
   for (uint32_t I = 0; I < A.Count; ++I) {
     if (A.LoOff[I] != B.LoOff[I] || A.HiOff[I] != B.HiOff[I] ||
-        A.Stride[I] != B.Stride[I])
-      return false;
-    if (SameArena ? (A.LoSym[I] != B.LoSym[I] || A.HiSym[I] != B.HiSym[I])
-                  : !VA[I].sameShape(VB[I]))
+        A.Stride[I] != B.Stride[I] || A.LoSym[I] != B.LoSym[I] ||
+        A.HiSym[I] != B.HiSym[I])
       return false;
     if (ProbTolerance >= 0.0 &&
         std::abs(A.Prob[I] - B.Prob[I]) > ProbTolerance)

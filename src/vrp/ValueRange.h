@@ -15,12 +15,12 @@
 /// level so value range propagation subsumes constant propagation for
 /// floats too.
 ///
-/// Storage: a ValueRange is a 16-byte handle `{kind, dist flag, arena id,
-/// slice id, float payload}`. The subrange rows live in the analysis's
-/// RangeArena (SoA columns, interned per arena), so copying a range is
-/// trivial, identical canonical sets share storage, and equality has an
-/// id-comparison fast path. A handle is valid while its arena lives,
-/// which for an analysis result is as long as the result does.
+/// Storage: a ValueRange is a 16-byte handle `{kind, dist flag, slice id,
+/// float constant or arena pointer}`. The subrange rows live in the
+/// analysis's RangeArena (SoA columns, interned per arena), so copying a
+/// range is trivial, identical canonical sets share storage, and equality
+/// has an id-comparison fast path. A handle is valid while its arena
+/// lives, which for an analysis result is as long as the result does.
 /// `subRanges()` returns a lightweight view that materializes `SubRange`
 /// values on demand and converts implicitly to `std::vector<SubRange>`
 /// for call sites that need a container.
@@ -131,7 +131,7 @@ class SubRangeView {
 public:
   SubRangeView() = default;
   SubRangeView(const RangeArena &Arena, uint32_t SliceId)
-      : R(Arena.rows(SliceId)), A(&Arena) {}
+      : R(Arena.rows(SliceId)) {}
 
   size_t size() const { return R.Count; }
   bool empty() const { return R.Count == 0; }
@@ -140,9 +140,8 @@ public:
   bool allNumeric() const { return R.AllNumeric; }
 
   SubRange operator[](size_t I) const {
-    return SubRange(R.Prob[I],
-                    Bound(A->symValue(R.LoSym[I]), R.LoOff[I]),
-                    Bound(A->symValue(R.HiSym[I]), R.HiOff[I]), R.Stride[I]);
+    return SubRange(R.Prob[I], Bound(R.LoSym[I], R.LoOff[I]),
+                    Bound(R.HiSym[I], R.HiOff[I]), R.Stride[I]);
   }
   SubRange front() const { return (*this)[0]; }
   SubRange back() const { return (*this)[R.Count - 1]; }
@@ -185,7 +184,6 @@ public:
 
 private:
   RangeArena::Rows R;
-  const RangeArena *A = nullptr;
 };
 
 /// A read-only view over one FP arena slice's weighted intervals plus its
@@ -223,7 +221,7 @@ private:
 
 /// The lattice value attached to every SSA variable during propagation.
 /// A 16-byte trivially-copyable handle; subrange storage lives in the
-/// RangeArena named by the handle's arena id.
+/// RangeArena the handle points at.
 class ValueRange {
 public:
   enum class Kind : uint8_t {
@@ -292,8 +290,12 @@ public:
   /// be the identity on its own output's field order.
   static ValueRange restored(Kind K, double FloatVal, bool DistKnown,
                              std::vector<SubRange> Subs) {
-    ValueRange R = interned(K, Subs.data(), Subs.size());
-    R.FloatVal = FloatVal;
+    ValueRange R;
+    if (K == Kind::Ranges)
+      R = interned(Subs.data(), Subs.size());
+    else if (K == Kind::FloatConst)
+      R = floatConstant(FloatVal);
+    R.TheKind = K;
     R.DistKnown = DistKnown;
     return R;
   }
@@ -327,40 +329,45 @@ public:
   bool distributionKnown() const { return DistKnown; }
   void setDistributionKnown(bool Known) { DistKnown = Known; }
 
-  double floatValue() const { return FloatVal; }
+  /// The constant of a FloatConst value; 0 otherwise.
+  double floatValue() const {
+    return TheKind == Kind::FloatConst ? FloatVal : 0.0;
+  }
 
-  /// NaN probability mass of a FloatRanges value (cached in the handle;
-  /// the authoritative copy is interned in the FP slice). 0 otherwise.
+  /// NaN probability mass of a FloatRanges value, read from its FP
+  /// slice. 0 otherwise.
   double nanMass() const {
-    return TheKind == Kind::FloatRanges ? FloatVal : 0.0;
+    return TheKind == Kind::FloatRanges ? fpIntervals().nanMass() : 0.0;
   }
 
   /// The FP interval set as an on-demand view over the FP arena slice.
   /// Meaningful only for FloatRanges values.
   FPIntervalView fpIntervals() const {
-    return SliceId ? FPIntervalView(arena(), SliceId) : FPIntervalView();
+    return SliceId ? FPIntervalView(*Arena, SliceId) : FPIntervalView();
   }
 
   /// The subrange set as an on-demand view over the arena slice.
   SubRangeView subRanges() const {
-    return SliceId ? SubRangeView(arena(), SliceId) : SubRangeView();
+    return SliceId ? SubRangeView(*Arena, SliceId) : SubRangeView();
   }
 
-  /// The arena slice id (0 for non-Ranges kinds). Two Ranges values with
-  /// equal (arena, slice) pairs are bitwise-identical sets; unequal pairs
-  /// may still compare equal under `equals()`.
+  /// The arena slice id (0 for kinds without rows). Two values with equal
+  /// (arena, slice) pairs are bitwise-identical sets; unequal pairs may
+  /// still compare equal under `equals()`.
   uint32_t sliceId() const { return SliceId; }
 
-  /// The id of the arena holding the slice (meaningful when sliceId() is
-  /// nonzero).
-  uint16_t arenaId() const { return ArenaId; }
+  /// The arena holding the slice; null for kinds without rows.
+  const RangeArena *arena() const {
+    return TheKind == Kind::Ranges || TheKind == Kind::FloatRanges ? Arena
+                                                                   : nullptr;
+  }
 
   /// True when every subrange bound is numeric (O(1), cached per slice).
   /// Non-Ranges kinds are trivially numeric (FP intervals never carry
   /// symbolic bounds; their slice ids live in the FP id space).
   bool allNumeric() const {
     return TheKind != Kind::Ranges || SliceId == 0 ||
-           arena().sliceAllNumeric(SliceId);
+           Arena->sliceAllNumeric(SliceId);
   }
 
   /// If the range is a single integer constant {1[c:c:0]}, returns it.
@@ -396,28 +403,30 @@ public:
   std::string str() const;
 
 private:
-  /// A \p K handle for \p N rows interned into the current arena.
-  static ValueRange interned(Kind K, const SubRange *Subs, size_t N);
+  /// A Ranges handle for \p N rows interned into the current arena.
+  static ValueRange interned(const SubRange *Subs, size_t N);
   /// A FloatRanges handle for FP content interned into the current arena.
   static ValueRange internedFP(const FPInterval *Subs, size_t N,
                                double NaNMass);
 
-  /// The arena holding the slice; valid only when SliceId != 0.
-  const RangeArena &arena() const { return RangeArena::byId(ArenaId); }
-
   /// Same (arena, slice) pair: bitwise-identical content. The slice id
   /// alone proves nothing across arenas.
-  bool sameSlice(const ValueRange &RHS) const;
+  bool sameSlice(const ValueRange &RHS) const {
+    return SliceId == RHS.SliceId && Arena == RHS.Arena;
+  }
   /// Row-by-row comparison of two Ranges slices: shapes exactly, and
   /// probabilities within \p ProbTolerance unless it is negative.
   bool rowsMatch(const ValueRange &RHS, double ProbTolerance) const;
 
   Kind TheKind;
   bool DistKnown = true;
-  /// Fills the padding after DistKnown, keeping the handle at 16 bytes.
-  uint16_t ArenaId = 0;
   uint32_t SliceId = 0;
-  double FloatVal = 0.0;
+  /// The kind says which is live: FloatConst keeps its constant, Ranges
+  /// and FloatRanges their arena, ⊤ and ⊥ neither.
+  union {
+    double FloatVal = 0.0;
+    const RangeArena *Arena;
+  };
 };
 
 static_assert(sizeof(ValueRange) == 16, "ValueRange must stay a flat handle");

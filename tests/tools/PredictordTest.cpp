@@ -22,6 +22,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 
 namespace {
 
@@ -117,6 +118,28 @@ protected:
 TEST_F(PredictordTest, UnknownFlagExitsTwoWithUsage) {
   EXPECT_EQ(runDaemon("--definitely-not-a-flag", Log), 2);
   EXPECT_NE(slurp(Log).find("usage"), std::string::npos) << slurp(Log);
+}
+
+TEST_F(PredictordTest, OutOfRangeFlagExitsTwoNamingItsRange) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"--threads=0", "invalid --threads value: --threads=0 (expected 1-256)"},
+      {"--threads=257",
+       "invalid --threads value: --threads=257 (expected 1-256)"},
+      {"--workers=65", "invalid --workers value: --workers=65 (expected 1-64)"},
+      {"--max-conns=0",
+       "invalid --max-conns value: --max-conns=0 (expected 1-4294967295)"},
+      {"--max-queue=0", "invalid --max-queue value: --max-queue=0 (expected "
+                        "1-18446744073709551615)"},
+      {"--heartbeat-ms=x",
+       "invalid --heartbeat-ms value: --heartbeat-ms=x (expected "
+       "1-18446744073709551615)"},
+      {"--deadline=x", "invalid --deadline value: --deadline=x\n"},
+  };
+  for (const auto &[Flag, Message] : Cases) {
+    EXPECT_EQ(runDaemon(std::string("--socket=unused.sock ") + Flag, Log), 2)
+        << Flag;
+    EXPECT_NE(slurp(Log).find(Message), std::string::npos) << slurp(Log);
+  }
 }
 
 TEST_F(PredictordTest, UnwritableSocketDirectoryExitsSix) {

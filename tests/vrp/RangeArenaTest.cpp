@@ -6,8 +6,9 @@
 // arenas compare by content, a result keeps its storage alive past later
 // analyses, an incremental result outlives its predecessor, incremental
 // runs from one base add nothing to its arena and so count alike, one
-// result can be read from several threads at once, and no entry point
-// leaks an arena or writes to the process default arena.
+// result can be read, and one base run from, on several threads at once,
+// and no entry point leaks an arena or writes to the caller's default
+// arena.
 //
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +89,8 @@ TEST(RangeArenaTest, EqualsComparesContentAcrossArenas) {
   // Both arenas handed out their first slice id: the ids collide, the
   // contents do not.
   ASSERT_EQ(InA.sliceId(), OtherInB.sliceId());
-  ASSERT_NE(InA.arenaId(), OtherInB.arenaId());
+  ASSERT_EQ(InA.arena(), A.get());
+  ASSERT_EQ(OtherInB.arena(), B.get());
   EXPECT_FALSE(InA.equals(OtherInB));
   EXPECT_FALSE(InA.sameSupport(OtherInB));
   // Equal content in two arenas is equal.
@@ -107,29 +109,17 @@ TEST(RangeArenaTest, SymbolsCompareByValueAcrossArenas) {
   ValueRange NInA, NInB, MInB;
   {
     RangeArena::Scope S(A);
-    NInA = symRange(&N); // n is symbol 1 in A...
+    NInA = symRange(&N); // Slice 1 in A...
   }
   {
     RangeArena::Scope S(B);
-    MInB = symRange(&M); // ...but m is symbol 1 in B and n is symbol 2.
+    MInB = symRange(&M); // ...but slice 1 in B names m, and n is slice 2.
     NInB = symRange(&N);
   }
   EXPECT_TRUE(NInA.equals(NInB, 0.0));
   EXPECT_TRUE(NInA.sameSupport(NInB));
   EXPECT_FALSE(NInA.equals(MInB));
   EXPECT_FALSE(NInA.sameSupport(MInB));
-}
-
-TEST(RangeArenaTest, RunningOutOfArenaIdsStopsTheProgram) {
-  // Ids are 16 bits wide: a wrapped id would alias a live arena's
-  // handles, so the 65536th live arena is a hard stop in every build.
-  EXPECT_DEATH(
-      {
-        std::vector<std::unique_ptr<RangeArena>> Alive;
-        for (unsigned I = 0; I <= (1u << 16); ++I)
-          Alive.push_back(std::make_unique<RangeArena>());
-      },
-      "more than 65535 arenas alive at once");
 }
 
 TEST(RangeArenaTest, ResultKeepsItsRangesAcrossLaterAnalyses) {
@@ -255,12 +245,16 @@ TEST(RangeArenaTest, EntryPointsFreeTheirArenasAndLeaveTheDefaultAlone) {
         *Next->IR, interprocOpts(), *Prev->IR, PrevR);
     // The cold run's arena, and the incremental run's, which holds it.
     EXPECT_EQ(RangeArena::liveCount(), Live + 2);
-    // Reads that intern a constant's range write to the result's arena.
+    // Reads that intern a constant's range write to the reader's arena,
+    // never to the result's.
+    auto Reader = std::make_shared<RangeArena>();
+    RangeArena::Scope ReaderScope(Reader);
     for (const auto &F : Next->IR->functions())
       for (const auto &B : F->blocks())
         for (const auto &I : B->instructions())
           for (unsigned Op = 0; Op < I->numOperands(); ++Op)
             (void)Inc.forFunction(F.get())->rangeOf(I->operand(Op));
+    EXPECT_GT(Reader->interns(), 0u);
   }
   EXPECT_EQ(RangeArena::liveCount(), Live);
 
@@ -292,8 +286,8 @@ TEST(RangeArenaTest, EntryPointsFreeTheirArenasAndLeaveTheDefaultAlone) {
 TEST(RangeArenaTest, ConcurrentReadersOfOneResultAgree) {
   // An analysis writes its arena from one thread, but a finished result
   // may be read from any, and reading a constant operand interns its
-  // range into the result's arena. Four readers at once must each see
-  // what one reader of an identical analysis sees.
+  // range into the reader's own arena, never the result's. Four readers
+  // at once must each see what one reader of an identical analysis sees.
   const std::string Source = makeSyntheticModule(depthBounded(80, 17));
   auto readAll = [](const Module &M, const ModuleVRPResult &R) {
     std::string Bytes;
@@ -329,6 +323,49 @@ TEST(RangeArenaTest, ConcurrentReadersOfOneResultAgree) {
     T.join();
   for (unsigned T = 0; T < Readers; ++T)
     EXPECT_EQ(Seen[T], Expected) << "reader " << T;
+}
+
+TEST(RangeArenaTest, IncrementalRunsFromOneBaseOnTwoThreads) {
+  // Each run interns into an arena of its own and only reads the base's,
+  // including the constants of the base results it rebinds and seeds
+  // its tables from. Two runs from one base at once must each match a
+  // cold run.
+  SyntheticModuleConfig BaseCfg = depthBounded(60, 29);
+  SyntheticModuleConfig Mutated = BaseCfg;
+  Mutated.MutateCount = 3;
+  const std::string NextSource = makeSyntheticModule(Mutated);
+
+  auto Base = compile(makeSyntheticModule(BaseCfg));
+  const ModuleVRPResult BaseR = runModuleVRP(*Base->IR, interprocOpts());
+  auto Cold = compile(NextSource);
+  const std::map<std::string, std::string> ColdBytes =
+      serializeAll(*Cold->IR, runModuleVRP(*Cold->IR, interprocOpts()));
+
+  constexpr unsigned Runs = 2;
+  std::vector<std::unique_ptr<CompiledProgram>> Next;
+  for (unsigned T = 0; T < Runs; ++T)
+    Next.push_back(compile(NextSource));
+  std::vector<std::map<std::string, std::string>> Seen(Runs);
+  std::vector<size_t> Reanalyzed(Runs, 0);
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < Runs; ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load())
+        std::this_thread::yield();
+      ModuleVRPResult Inc = runModuleVRPIncremental(
+          *Next[T]->IR, interprocOpts(), *Base->IR, BaseR);
+      Reanalyzed[T] = Inc.FunctionsReanalyzed;
+      Seen[T] = serializeAll(*Next[T]->IR, Inc);
+    });
+  Go.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+  for (unsigned T = 0; T < Runs; ++T) {
+    EXPECT_GT(Reanalyzed[T], 0u) << "run " << T;
+    EXPECT_LT(Reanalyzed[T], Next[T]->IR->functions().size()) << "run " << T;
+    EXPECT_EQ(Seen[T], ColdBytes) << "run " << T;
+  }
 }
 
 } // namespace
